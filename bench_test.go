@@ -236,8 +236,9 @@ func BenchmarkBruteForceReference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	req := partition.Request{Model: m, Batch: 256, Levels: unitLevels(2), Method: partition.MethodBrute}
 	for i := 0; i < b.N; i++ {
-		if _, err := partition.BruteForce(m, 256, 2); err != nil {
+		if _, err := partition.Solve(req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -372,7 +373,7 @@ func BenchmarkHierarchicalTrainingStep(b *testing.B) {
 			hypar.FCLayer("fc3", 8),
 		},
 	}
-	plan, err := partition.Hierarchical(m, 16, 2)
+	plan, err := partition.Solve(partition.Request{Model: m, Batch: 16, Levels: unitLevels(2)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -706,32 +706,13 @@ func (c Config) dtype() (tensor.DType, error) {
 // DType resolves the configured precision to the tensor element type.
 func (c Config) DType() (DType, error) { return c.dtype() }
 
-// PlatformFor resolves the configuration's accelerator platform
-// (applying the Canonical default for an empty name) through the
-// registry's single resolution path. For a heterogeneous per-level
-// assignment it returns the node platform — the deepest level's, the
-// one whose accelerators do the compute; use AssignmentFor for the full
-// per-level view.
-func PlatformFor(c Config) (Platform, error) {
-	if !c.Platforms.IsZero() {
-		a, err := AssignmentFor(c)
-		if err != nil {
-			return nil, err
-		}
-		return a.Node(), nil
-	}
-	p, err := platform.Resolve(c.Platform)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	return p, nil
-}
-
 // AssignmentFor resolves the configuration's per-level platform
 // assignment at the depth planning actually runs at (EffectiveLevels:
 // a degraded array keeps the deepest surviving levels, platforms
 // included). A config without a Platforms spec yields the uniform
-// assignment of its single platform.
+// assignment of its single platform. Planning, simulation and
+// exploration all resolve their platforms through here; the node
+// platform doing the compute is its Node().
 func AssignmentFor(c Config) (platform.Assignment, error) {
 	c = c.Canonical()
 	if c.Platforms.IsZero() {
@@ -779,58 +760,32 @@ func BuildArch(c Config) (Arch, error) {
 	if err != nil {
 		return Arch{}, err
 	}
-	if !c.Platforms.IsZero() {
-		// Heterogeneous array: per-level fabrics with boundary-adapter
-		// charges, per-level link energy models, node platform compute.
-		a, err := AssignmentFor(c)
-		if err != nil {
-			return Arch{}, err
-		}
-		topo, err := a.NewTopology(c.Topology, c.LinkMbps)
-		if err != nil {
-			return Arch{}, err
-		}
-		return Arch{
-			Mem:             a.Node().Memory(),
-			Comp:            a.Node().Compute(),
-			NoC:             topo,
-			DType:           dt,
-			OverlapGradComm: c.OverlapGradComm,
-			LevelMems:       a.LevelMemories(),
-		}, nil
-	}
-	p, err := PlatformFor(c)
+	// A mixed assignment builds per-level fabrics with boundary-adapter
+	// charges and per-level link energy models; a uniform one is the
+	// single-platform array. Either way the node platform computes.
+	a, err := AssignmentFor(c)
 	if err != nil {
 		return Arch{}, err
 	}
-	topo, err := p.NewTopology(c.Topology, c.EffectiveLevels(), c.LinkMbps)
+	topo, err := a.NewTopology(c.Topology, c.LinkMbps)
 	if err != nil {
 		return Arch{}, err
 	}
 	return Arch{
-		Mem:             p.Memory(),
-		Comp:            p.Compute(),
+		Mem:             a.Node().Memory(),
+		Comp:            a.Node().Compute(),
 		NoC:             topo,
 		DType:           dt,
 		OverlapGradComm: c.OverlapGradComm,
+		LevelMems:       a.LevelMemories(),
 	}, nil
 }
 
 // NewPlan produces the parallelism assignment for the model under the
-// given strategy and configuration. The partition search and the plan's
-// recorded transfer volumes run under the configured platform's cost
-// weights, so the DP objective and the simulated schedule agree. With a
-// fault spec configured, the plan covers the degraded array's
-// EffectiveLevels-deep surviving sub-array.
+// given strategy and configuration (NewPlanOpts without options or
+// cancellation).
 func NewPlan(m *Model, s Strategy, c Config) (*Plan, error) {
-	return NewPlanCtx(nil, m, s, c)
-}
-
-// NewPlanCtx is NewPlan with cancellation: the partition search checks
-// ctx between DP layers and inside its enumeration loops, returning
-// ctx.Err() promptly when the context ends. A nil ctx never cancels.
-func NewPlanCtx(ctx context.Context, m *Model, s Strategy, c Config) (*Plan, error) {
-	return NewPlanOpts(ctx, m, s, c, PlanOptions{})
+	return NewPlanOpts(nil, m, s, c, PlanOptions{})
 }
 
 // PlanOptions carries per-call planning hints that are deliberately
@@ -843,16 +798,19 @@ type PlanOptions struct {
 	// makes one-dimension sweeps incremental. Byte-identical output
 	// either way; baselines ignore it. Nil means a cold solve.
 	Warm *Plan
-	// FrontierCap caps the exact graph DP's frontier width for this
-	// call only (0 = the package default). See
-	// partition.Request.FrontierCap.
-	FrontierCap int
 }
 
-// NewPlanOpts is NewPlanCtx with per-call options. The HyPar strategy
-// dispatches on Config.SearchMethod — exact hierarchical DP (default),
-// exhaustive brute force, or bounded-width beam search — through the
-// partition package's unified Solve core.
+// NewPlanOpts produces the parallelism assignment for the model under
+// the given strategy and configuration, with per-call options. Level h
+// of the partition search, and of the plan's recorded transfer volumes,
+// is scored with the cost weights of the platform serving that level
+// (AssignmentFor), so the DP objective and the simulated schedule
+// agree. The HyPar strategy dispatches on Config.SearchMethod — exact
+// hierarchical DP (default), exhaustive brute force, or bounded-width
+// beam search — through partition.Solve. With a fault spec configured,
+// the plan covers the degraded array's EffectiveLevels-deep surviving
+// sub-array. ctx cancels the search between DP layers and inside its
+// enumeration loops; a nil ctx never cancels.
 func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOptions) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -862,58 +820,28 @@ func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOp
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	solve := func(ws []partition.Weights) (*Plan, error) {
-		return partition.Solve(partition.Request{
-			Model:       m,
-			Batch:       c.Batch,
-			Levels:      ws,
-			Ctx:         ctx,
-			Method:      method,
-			BeamWidth:   cc.BeamWidth,
-			FrontierCap: opt.FrontierCap,
-			Warm:        opt.Warm,
-		})
-	}
-	if !cc.Platforms.IsZero() {
-		// Heterogeneous array: the level-h run of Algorithm 1 minimizes
-		// level h's own platform weights.
-		a, err := AssignmentFor(c)
-		if err != nil {
-			return nil, err
-		}
-		ws := a.PartitionWeights()
-		switch s {
-		case HyPar:
-			return solve(ws)
-		case DataParallel:
-			return partition.DataParallelPerLevel(m, c.Batch, ws)
-		case ModelParallel:
-			return partition.ModelParallelPerLevel(m, c.Batch, ws)
-		case OneWeirdTrick:
-			return partition.OneWeirdTrickPerLevel(m, c.Batch, ws)
-		default:
-			return nil, fmt.Errorf("%w: unknown strategy %v", ErrConfig, s)
-		}
-	}
-	p, err := PlatformFor(c)
+	a, err := AssignmentFor(c)
 	if err != nil {
 		return nil, err
 	}
-	w := p.PartitionWeights()
-	levels := c.EffectiveLevels()
+	ws := a.PartitionWeights()
 	switch s {
 	case HyPar:
-		ws := make([]partition.Weights, levels)
-		for h := range ws {
-			ws[h] = w
-		}
-		return solve(ws)
+		return partition.Solve(partition.Request{
+			Model:     m,
+			Batch:     c.Batch,
+			Levels:    ws,
+			Ctx:       ctx,
+			Method:    method,
+			BeamWidth: cc.BeamWidth,
+			Warm:      opt.Warm,
+		})
 	case DataParallel:
-		return partition.DataParallelWeighted(m, c.Batch, levels, w)
+		return partition.DataParallel(m, c.Batch, ws)
 	case ModelParallel:
-		return partition.ModelParallelWeighted(m, c.Batch, levels, w)
+		return partition.ModelParallel(m, c.Batch, ws)
 	case OneWeirdTrick:
-		return partition.OneWeirdTrickWeighted(m, c.Batch, levels, w)
+		return partition.OneWeirdTrick(m, c.Batch, ws)
 	default:
 		return nil, fmt.Errorf("%w: unknown strategy %v", ErrConfig, s)
 	}
@@ -927,7 +855,11 @@ func NewInferencePlan(m *Model, c Config) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return partition.HierarchicalInference(m, c.Batch, c.EffectiveLevels())
+	ws := make([]partition.Weights, c.EffectiveLevels())
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return partition.Solve(partition.Request{Model: m, Batch: c.Batch, Levels: ws, Objective: partition.ObjectiveInference})
 }
 
 // Result pairs a plan with its simulated training-step statistics.
@@ -988,7 +920,7 @@ func (e *Evaluator) Run(m *Model, s Strategy, c Config) (*Result, error) {
 }
 
 // RunCtx is Run with cancellation threaded into the partition search
-// (see NewPlanCtx). A nil ctx never cancels.
+// (see NewPlanOpts). A nil ctx never cancels.
 //
 // With a fault spec whose surviving group count is not a power of two,
 // the aligned sub-array EffectiveLevels snaps to strands part of the
@@ -1055,7 +987,7 @@ func (e *Evaluator) runGrouped(ctx context.Context, m *Model, s Strategy, c Conf
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := NewPlanCtx(ctx, m, s, sub)
+	plan, err := NewPlanOpts(ctx, m, s, sub, PlanOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,22 @@ package hypar_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	hypar "repro"
+	"repro/internal/partition"
 )
+
+// unitLevels is the paper's cost model at every one of levels hierarchy
+// levels.
+func unitLevels(levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return ws
+}
 
 func TestDefaultConfig(t *testing.T) {
 	c := hypar.DefaultConfig()
@@ -231,5 +243,31 @@ func TestInferencePlan(t *testing.T) {
 	bad.Batch = 0
 	if _, err := hypar.NewInferencePlan(m, bad); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestInferenceWrapperDelegates: NewInferencePlan is an
+// inference-objective partition.Solve at unit weights over the
+// config's effective (here degraded) depth — the plans agree exactly.
+func TestInferenceWrapperDelegates(t *testing.T) {
+	m, err := hypar.ModelByName("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hypar.Config{Batch: 16, Levels: 3, Faults: hypar.Faults{Level: 0, Groups: 1}}
+	got, err := hypar.NewInferencePlan(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := partition.Solve(partition.Request{
+		Model: m, Batch: 16, Levels: unitLevels(cfg.EffectiveLevels()), Objective: partition.ObjectiveInference,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumLevels() != 2 || !reflect.DeepEqual(got.Levels, want.Levels) ||
+		!reflect.DeepEqual(got.Details, want.Details) || got.TotalElems != want.TotalElems {
+		t.Errorf("NewInferencePlan diverges from the inference-objective Solve: %d levels, total %g vs %g",
+			got.NumLevels(), got.TotalElems, want.TotalElems)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -138,46 +137,11 @@ func AssignmentCostGraph(amounts []comm.LayerAmounts, preds [][]int, a Assignmen
 const maxGraphFrontier = 16
 
 // ErrTooWide reports a model whose layer graph needs a partition
-// frontier wider than the configured cap: the O(L·2^frontier) dynamic
-// program would blow up, so the request is rejected up front with a
-// typed error. ErrTooWide wraps ErrPlan, so errors.Is matches both.
+// frontier wider than maxGraphFrontier: the exact O(L·2^frontier)
+// dynamic program would blow up, so the search is refused up front with
+// a typed error. The beam search has no such limit. ErrTooWide wraps
+// ErrPlan, so errors.Is matches both.
 var ErrTooWide = fmt.Errorf("%w: partition frontier too wide", ErrPlan)
-
-// frontierCap holds the configured frontier-width cap; zero means the
-// compiled-in maxGraphFrontier.
-var frontierCap atomic.Int32
-
-// FrontierCap returns the effective frontier-width cap the graph
-// dynamic program enforces (maxGraphFrontier by default).
-func FrontierCap() int {
-	if c := frontierCap.Load(); c > 0 {
-		return int(c)
-	}
-	return maxGraphFrontier
-}
-
-// SetFrontierCap lowers (or restores) the package-default frontier cap
-// and returns the previous effective value, so services can refuse
-// expensive DAGs earlier than the compiled-in maxGraphFrontier bound.
-// The value is clamped to [1, maxGraphFrontier]; n <= 0 restores the
-// default. Safe for concurrent use.
-//
-// Deprecated: this is process-wide mutable state — two concurrent
-// solves wanting different caps race on it. Set Request.FrontierCap
-// instead, which scopes the cap to one Solve call; this function
-// remains only as the default those requests fall back to.
-func SetFrontierCap(n int) int {
-	prev := FrontierCap()
-	switch {
-	case n <= 0:
-		frontierCap.Store(0)
-	case n > maxGraphFrontier:
-		frontierCap.Store(maxGraphFrontier)
-	default:
-		frontierCap.Store(int32(n))
-	}
-	return prev
-}
 
 // ctxErr reports the context's error, treating a nil context as one
 // that never cancels — the hot loops call this at checkpoints.
@@ -197,14 +161,9 @@ func isChain(preds [][]int) bool { return nn.ChainPreds(preds) }
 // FrontierWidth returns the maximum number of simultaneously open
 // layers (produced but not yet fully consumed) over a topological walk
 // of the resolved predecessor lists — the width the exact graph DP's
-// state space is exponential in, and the quantity Request.FrontierCap
+// state space is exponential in, and the quantity maxGraphFrontier
 // bounds. Chains have width 1.
-func FrontierWidth(preds [][]int) int { return frontierWidth(preds) }
-
-// frontierWidth returns the maximum number of simultaneously open
-// layers (produced but not yet fully consumed) over a topological walk
-// — the graph DP's state width.
-func frontierWidth(preds [][]int) int {
+func FrontierWidth(preds [][]int) int {
 	nl := len(preds)
 	remaining := make([]int, nl)
 	for _, ps := range preds {
@@ -240,27 +199,16 @@ func frontierWidth(preds [][]int) int {
 // layer-to-layer edge whose endpoints disagree. Chains dispatch to the
 // paper's O(L) recurrence; general DAGs run an exact dynamic program
 // over the set of open edges (the "frontier"), O(L · 2^frontier). A
-// graph needing a frontier wider than FrontierCap is rejected with
+// graph needing a frontier wider than maxGraphFrontier is rejected with
 // ErrTooWide rather than silently mis-solved (or left to blow up).
 func TwoWayGraph(amounts []comm.LayerAmounts, preds [][]int) (float64, Assignment, error) {
-	return TwoWayGraphCtx(nil, amounts, preds)
-}
-
-// TwoWayGraphCtx is TwoWayGraph with cancellation: the frontier DP
-// checks ctx once per layer step and returns ctx.Err() when the context
-// ends. A nil ctx never cancels.
-func TwoWayGraphCtx(ctx context.Context, amounts []comm.LayerAmounts, preds [][]int) (float64, Assignment, error) {
-	if w, lim := frontierWidth(preds), FrontierCap(); w > lim {
-		return 0, nil, fmt.Errorf("%w: graph needs a partition frontier of %d open layers (max %d)",
-			ErrTooWide, w, lim)
-	}
-	return twoWayGraphWith(ctx, amounts, preds, trainingCosts)
+	return twoWayGraphWith(nil, amounts, preds, trainingCosts)
 }
 
 // twoWayGraphWith runs the graph dynamic program under an arbitrary
-// cost model; callers must have bounded the frontier width to
-// maxGraphFrontier (prepare does, TwoWayGraph does) or the uint32
-// state keys overflow. It processes layers in topological order,
+// cost model. It refuses a frontier wider than maxGraphFrontier with
+// ErrTooWide — past it the state space explodes and the uint32 state
+// keys overflow. It processes layers in topological order,
 // carrying one state per assignment of the currently open layers —
 // layers whose outputs a later layer still consumes. Extending a state
 // with layer l's choice charges l's intra cost plus the conversion on
@@ -277,6 +225,10 @@ func twoWayGraphWith(ctx context.Context, amounts []comm.LayerAmounts, preds [][
 	if isChain(preds) {
 		cost, assign := twoWayWith(amounts, c)
 		return cost, assign, nil
+	}
+	if w := FrontierWidth(preds); w > maxGraphFrontier {
+		return 0, nil, fmt.Errorf("%w: graph needs a partition frontier of %d open layers (max %d)",
+			ErrTooWide, w, maxGraphFrontier)
 	}
 
 	remaining := make([]int, nl) // unprocessed consumers per layer

@@ -6,46 +6,45 @@ import (
 )
 
 // DataParallel returns the default Data Parallelism baseline: every
-// layer at every hierarchy level in data parallelism.
-func DataParallel(m *nn.Model, batch, levels int) (*Plan, error) {
-	return uniformPlan(m, batch, levels, comm.DP)
+// layer at every hierarchy level in data parallelism, with level h's
+// volumes recorded under ws[h] (hierarchy depth len(ws)).
+func DataParallel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
+	return uniformPlan(m, batch, ws, func(*nn.Layer) comm.Parallelism { return comm.DP })
 }
 
 // ModelParallel returns the default Model Parallelism baseline: every
-// layer at every hierarchy level in model parallelism.
-func ModelParallel(m *nn.Model, batch, levels int) (*Plan, error) {
-	return uniformPlan(m, batch, levels, comm.MP)
-}
-
-func uniformPlan(m *nn.Model, batch, levels int, p comm.Parallelism) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = Uniform(len(m.Layers), p)
-	}
-	return Evaluate(m, batch, assigns)
+// layer at every hierarchy level in model parallelism, with level h's
+// volumes recorded under ws[h] (hierarchy depth len(ws)).
+func ModelParallel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
+	return uniformPlan(m, batch, ws, func(*nn.Layer) comm.Parallelism { return comm.MP })
 }
 
 // OneWeirdTrick returns Krizhevsky's empirical configuration [111]:
 // convolutional layers in data parallelism and fully-connected layers
-// in model parallelism, at every hierarchy level.
-func OneWeirdTrick(m *nn.Model, batch, levels int) (*Plan, error) {
+// in model parallelism, at every hierarchy level, with level h's
+// volumes recorded under ws[h] (hierarchy depth len(ws)).
+func OneWeirdTrick(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
+	return uniformPlan(m, batch, ws, func(l *nn.Layer) comm.Parallelism {
+		if l.Type == nn.FC {
+			return comm.MP
+		}
+		return comm.DP
+	})
+}
+
+// uniformPlan evaluates the plan that gives every hierarchy level the
+// same per-layer choice.
+func uniformPlan(m *nn.Model, batch int, ws []Weights, choose func(*nn.Layer) comm.Parallelism) (*Plan, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	a := make(Assignment, len(m.Layers))
-	for l, layer := range m.Layers {
-		if layer.Type == nn.FC {
-			a[l] = comm.MP
-		} else {
-			a[l] = comm.DP
-		}
+	for l := range m.Layers {
+		a[l] = choose(&m.Layers[l])
 	}
-	assigns := make([]Assignment, levels)
+	assigns := make([]Assignment, len(ws))
 	for h := range assigns {
-		assigns[h] = a.Clone()
+		assigns[h] = a // Evaluate copies every level
 	}
-	return Evaluate(m, batch, assigns)
+	return Evaluate(m, batch, assigns, ws)
 }

@@ -95,7 +95,7 @@ func TestBeamGapOnOracleDAGs(t *testing.T) {
 
 		// A width covering every distinct frontier state makes the beam
 		// the exact DP with a different tiebreak: costs must agree.
-		wide, _, err := beamTwoWayWith(nil, amounts, preds, trainingCosts, 1<<uint(frontierWidth(preds)))
+		wide, _, err := beamTwoWayWith(nil, amounts, preds, trainingCosts, 1<<uint(FrontierWidth(preds)))
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, m.Name, err)
 		}
@@ -110,7 +110,7 @@ func TestBeamGapOnOracleDAGs(t *testing.T) {
 }
 
 // TestBeamSolvesWideDAG is the acceptance pin for the beam's purpose:
-// a frontier-width-18 DAG the exact DP refuses under the default cap
+// a frontier-width-18 DAG the exact DP refuses past its cap
 // (maxGraphFrontier = 16) plans fine under Method beam, at every level
 // of the hierarchy.
 func TestBeamSolvesWideDAG(t *testing.T) {

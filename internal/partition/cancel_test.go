@@ -10,7 +10,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/runner"
-	"repro/internal/tensor"
 )
 
 // cancelChain builds an n-layer conv chain whose shapes stay constant,
@@ -51,39 +50,38 @@ func canceledCtx() context.Context {
 	return ctx
 }
 
+// unitSolve is a Request at unit weights over levels hierarchy levels.
+func unitSolve(m *nn.Model, batch, levels int) Request {
+	return Request{Model: m, Batch: batch, Levels: unitLevels(levels)}
+}
+
 func TestPreCanceledContextRefusesWork(t *testing.T) {
 	ctx := canceledCtx()
 	pool := runner.Serial()
 	chain := cancelChain(6)
 	fork := cancelFork(3)
 
-	if _, err := BruteForceCtx(ctx, pool, chain, 2, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("BruteForceCtx = %v, want context.Canceled", err)
+	brute := unitSolve(chain, 2, 2)
+	brute.Ctx, brute.Pool, brute.Method = ctx, pool, MethodBrute
+	if _, err := Solve(brute); !errors.Is(err, context.Canceled) {
+		t.Errorf("brute-force Solve = %v, want context.Canceled", err)
 	}
-	if _, err := HierarchicalCtx(ctx, fork, 2, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("HierarchicalCtx = %v, want context.Canceled", err)
+	hier := unitSolve(fork, 2, 2)
+	hier.Ctx = ctx
+	if _, err := Solve(hier); !errors.Is(err, context.Canceled) {
+		t.Errorf("hierarchical Solve = %v, want context.Canceled", err)
 	}
 	base := []Assignment{Uniform(len(chain.Layers), comm.DP)}
 	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 0, Layer: 1}}
-	if _, err := ExploreCtx(ctx, pool, chain, 2, base, free); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExploreCtx = %v, want context.Canceled", err)
+	if _, err := Explore(ctx, pool, chain, 2, base, free, unitLevels(1)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Explore = %v, want context.Canceled", err)
 	}
 
-	shapes, err := fork.Shapes(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := fork.LayerPreds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sh tensor.Shard
-	amounts := make([]comm.LayerAmounts, len(shapes))
-	for l := range shapes {
-		amounts[l] = comm.Amounts(shapes[l], sh)
-	}
-	if _, _, err := TwoWayGraphCtx(ctx, amounts, preds); !errors.Is(err, context.Canceled) {
-		t.Errorf("TwoWayGraphCtx = %v, want context.Canceled", err)
+	// The frontier DP checks ctx per layer step on its own, not only
+	// between hierarchy levels.
+	amounts, preds := oracleAmounts(t, fork, 2)
+	if _, _, err := twoWayGraphWith(ctx, amounts, preds, trainingCosts); !errors.Is(err, context.Canceled) {
+		t.Errorf("graph DP = %v, want context.Canceled", err)
 	}
 }
 
@@ -98,11 +96,13 @@ func TestBruteForceCancelMidSearch(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
+	req := unitSolve(m, 2, 2)
+	req.Ctx, req.Pool, req.Method = ctx, runner.Default(), MethodBrute
 	t0 := time.Now()
-	_, err := BruteForceCtx(ctx, runner.Default(), m, 2, 2)
+	_, err := Solve(req)
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("BruteForceCtx = %v, want context.Canceled", err)
+		t.Fatalf("brute-force Solve = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want well under 5s", elapsed)
@@ -123,45 +123,51 @@ func TestExploreCancelMidSweep(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, err := ExploreCtx(ctx, runner.Default(), m, 2, base, free)
+	_, err := Explore(ctx, runner.Default(), m, 2, base, free, unitLevels(1))
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExploreCtx = %v, want context.Canceled", err)
+		t.Fatalf("Explore = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want well under 5s", elapsed)
 	}
 }
 
+// TestFrontierCap: the exact graph DP plans frontiers up to
+// maxGraphFrontier open layers and refuses wider ones with ErrTooWide
+// (wrapping ErrPlan). The cap guards only that DP: the beam search and
+// the fixed-assignment evaluator accept any width.
 func TestFrontierCap(t *testing.T) {
-	// The 8-branch fork needs a frontier of 8 open layers: fine under
-	// the compiled-in cap, rejected under a configured cap of 4.
-	fork := cancelFork(8)
-	if _, err := Hierarchical(fork, 2, 1); err != nil {
-		t.Fatalf("Hierarchical under default cap: %v", err)
+	if _, err := Solve(unitSolve(cancelFork(maxGraphFrontier), 2, 1)); err != nil {
+		t.Fatalf("exact Solve at the cap: %v", err)
 	}
-
-	prev := SetFrontierCap(4)
-	defer SetFrontierCap(0)
-	if prev != maxGraphFrontier {
-		t.Fatalf("SetFrontierCap returned prev %d, want %d", prev, maxGraphFrontier)
-	}
-	_, err := Hierarchical(fork, 2, 1)
+	wide := cancelFork(maxGraphFrontier + 2)
+	_, err := Solve(unitSolve(wide, 2, 1))
 	if !errors.Is(err, ErrTooWide) {
-		t.Fatalf("Hierarchical under cap 4 = %v, want ErrTooWide", err)
+		t.Fatalf("exact Solve past the cap = %v, want ErrTooWide", err)
 	}
 	if !errors.Is(err, ErrPlan) {
 		t.Fatalf("ErrTooWide must wrap ErrPlan; got %v", err)
 	}
-
-	// The narrow 2-branch fork stays plannable under the lowered cap.
-	if _, err := Hierarchical(cancelFork(2), 2, 1); err != nil {
-		t.Fatalf("narrow fork under cap 4: %v", err)
+	amounts, preds := oracleAmounts(t, wide, 2)
+	if _, _, err := TwoWayGraph(amounts, preds); !errors.Is(err, ErrTooWide) {
+		t.Fatalf("TwoWayGraph past the cap = %v, want ErrTooWide", err)
 	}
 
-	// Restoring the default re-admits the wide fork.
-	SetFrontierCap(0)
-	if _, err := Hierarchical(fork, 2, 1); err != nil {
-		t.Fatalf("Hierarchical after cap restore: %v", err)
+	beam := unitSolve(wide, 2, 2)
+	beam.Method = MethodBeam
+	plan, err := Solve(beam)
+	if err != nil {
+		t.Fatalf("beam Solve past the cap: %v", err)
+	}
+	if _, err := Evaluate(wide, 2, plan.Levels, unitLevels(2)); err != nil {
+		t.Fatalf("Evaluate past the cap: %v", err)
+	}
+	if _, err := DataParallel(wide, 2, unitLevels(2)); err != nil {
+		t.Fatalf("DataParallel past the cap: %v", err)
+	}
+	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 1, Layer: 3}}
+	if _, err := Explore(nil, nil, wide, 2, plan.Levels, free, unitLevels(2)); err != nil {
+		t.Fatalf("Explore past the cap: %v", err)
 	}
 }

@@ -207,11 +207,11 @@ func TestGraphHierarchicalNeverBeatsBruteForce(t *testing.T) {
 		trials++
 		batch := 1 << uint(r.Intn(3))
 
-		hier, err := Hierarchical(m, batch, levels)
+		hier, err := Solve(Request{Model: m, Batch: batch, Levels: unitLevels(levels)})
 		if err != nil {
 			t.Fatalf("%s: hierarchical: %v", m.Name, err)
 		}
-		bf, err := BruteForceWith(pool, m, batch, levels)
+		bf, err := Solve(Request{Model: m, Batch: batch, Levels: unitLevels(levels), Pool: pool, Method: MethodBrute})
 		if err != nil {
 			t.Fatalf("%s: brute force: %v", m.Name, err)
 		}
@@ -239,7 +239,7 @@ func TestGraphEvaluateChargesSkipEdges(t *testing.T) {
 	// a=mp, everything else mp too except the two branches force the
 	// a→b1 and a→b2 edges into mp-mp transitions: each pays 0.5·A(E).
 	assign := Assignment{comm.MP, comm.MP, comm.MP, comm.MP}
-	plan, err := Evaluate(m, 2, []Assignment{assign})
+	plan, err := Evaluate(m, 2, []Assignment{assign}, unitLevels(1))
 	if err != nil {
 		t.Fatal(err)
 	}

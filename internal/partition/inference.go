@@ -1,9 +1,6 @@
 package partition
 
-import (
-	"repro/internal/comm"
-	"repro/internal/nn"
-)
+import "repro/internal/comm"
 
 // costs abstracts the objective of the layer-wise dynamic program so
 // the same search runs for training (Tables 1-2) and inference.
@@ -43,14 +40,4 @@ func (w Weights) objectiveCosts(o Objective) costs {
 		}
 	}
 	return w.costs()
-}
-
-// HierarchicalInference runs the partition search with the inference
-// cost model (forward pass only, no gradient or error communication).
-func HierarchicalInference(m *nn.Model, batch, levels int) (*Plan, error) {
-	ws, err := repeatWeights(UnitWeights(), levels)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Objective: ObjectiveInference})
 }

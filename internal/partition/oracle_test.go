@@ -117,11 +117,11 @@ func TestHierarchicalNeverBeatsBruteForce(t *testing.T) {
 		trials++
 		batch := 1 << uint(r.Intn(4))
 
-		hier, err := Hierarchical(m, batch, levels)
+		hier, err := Solve(Request{Model: m, Batch: batch, Levels: unitLevels(levels)})
 		if err != nil {
 			t.Fatalf("%s: hierarchical: %v", m.Name, err)
 		}
-		bf, err := BruteForceWith(pool, m, batch, levels)
+		bf, err := Solve(Request{Model: m, Batch: batch, Levels: unitLevels(levels), Pool: pool, Method: MethodBrute})
 		if err != nil {
 			t.Fatalf("%s: brute force: %v", m.Name, err)
 		}

@@ -12,18 +12,37 @@ import (
 
 const gb = 1024 * 1024 * 1024
 
+// unitLevels is the paper's cost model at every one of levels hierarchy
+// levels.
+func unitLevels(levels int) []Weights {
+	ws := make([]Weights, levels)
+	for h := range ws {
+		ws[h] = UnitWeights()
+	}
+	return ws
+}
+
 func mustHier(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 	t.Helper()
-	p, err := Hierarchical(m, batch, levels)
+	p, err := Solve(Request{Model: m, Batch: batch, Levels: unitLevels(levels)})
 	if err != nil {
-		t.Fatalf("Hierarchical(%s): %v", m.Name, err)
+		t.Fatalf("Solve(%s): %v", m.Name, err)
+	}
+	return p
+}
+
+func mustBrute(t *testing.T, m *nn.Model, batch, levels int) *Plan {
+	t.Helper()
+	p, err := Solve(Request{Model: m, Batch: batch, Levels: unitLevels(levels), Method: MethodBrute})
+	if err != nil {
+		t.Fatalf("brute-force Solve(%s): %v", m.Name, err)
 	}
 	return p
 }
 
 func mustDP(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 	t.Helper()
-	p, err := DataParallel(m, batch, levels)
+	p, err := DataParallel(m, batch, unitLevels(levels))
 	if err != nil {
 		t.Fatalf("DataParallel(%s): %v", m.Name, err)
 	}
@@ -32,7 +51,7 @@ func mustDP(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 
 func mustMP(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 	t.Helper()
-	p, err := ModelParallel(m, batch, levels)
+	p, err := ModelParallel(m, batch, unitLevels(levels))
 	if err != nil {
 		t.Fatalf("ModelParallel(%s): %v", m.Name, err)
 	}
@@ -91,7 +110,7 @@ func TestTwoWayEmpty(t *testing.T) {
 func TestHierarchicalMatchesEvaluate(t *testing.T) {
 	for _, m := range nn.Zoo() {
 		p := mustHier(t, m, 256, 4)
-		q, err := Evaluate(m, 256, p.Levels)
+		q, err := Evaluate(m, 256, p.Levels, unitLevels(4))
 		if err != nil {
 			t.Fatalf("%s Evaluate: %v", m.Name, err)
 		}
@@ -198,25 +217,11 @@ func TestVGGConvDPFCMP(t *testing.T) {
 // greedy plan can miss the global optimum slightly, Figure 10).
 func TestHierarchicalBruteForceSmall(t *testing.T) {
 	m := nn.LenetC()
-	h1, err := Hierarchical(m, 64, 1)
-	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
-	}
-	b1, err := BruteForce(m, 64, 1)
-	if err != nil {
-		t.Fatalf("BruteForce: %v", err)
-	}
+	h1, b1 := mustHier(t, m, 64, 1), mustBrute(t, m, 64, 1)
 	if math.Abs(h1.TotalElems-b1.TotalElems) > 1e-6*math.Max(1, b1.TotalElems) {
 		t.Errorf("H=1: hierarchical %g != brute force %g", h1.TotalElems, b1.TotalElems)
 	}
-	h2, err := Hierarchical(m, 64, 2)
-	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
-	}
-	b2, err := BruteForce(m, 64, 2)
-	if err != nil {
-		t.Fatalf("BruteForce: %v", err)
-	}
+	h2, b2 := mustHier(t, m, 64, 2), mustBrute(t, m, 64, 2)
 	if b2.TotalElems > h2.TotalElems*(1+1e-9) {
 		t.Errorf("H=2: brute force %g worse than greedy %g", b2.TotalElems, h2.TotalElems)
 	}
@@ -226,14 +231,15 @@ func TestHierarchicalBruteForceSmall(t *testing.T) {
 }
 
 func TestBruteForceTooLarge(t *testing.T) {
-	if _, err := BruteForce(nn.VGGE(), 256, 4); !errors.Is(err, ErrPlan) {
+	req := Request{Model: nn.VGGE(), Batch: 256, Levels: unitLevels(4), Method: MethodBrute}
+	if _, err := Solve(req); !errors.Is(err, ErrPlan) {
 		t.Errorf("oversized brute force accepted: %v", err)
 	}
 }
 
 func TestOneWeirdTrick(t *testing.T) {
 	m := nn.AlexNet()
-	p, err := OneWeirdTrick(m, 256, 4)
+	p, err := OneWeirdTrick(m, 256, unitLevels(4))
 	if err != nil {
 		t.Fatalf("OneWeirdTrick: %v", err)
 	}
@@ -257,16 +263,16 @@ func TestOneWeirdTrick(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	m := nn.LenetC()
-	if _, err := Evaluate(m, 64, []Assignment{Uniform(3, comm.DP)}); !errors.Is(err, ErrPlan) {
+	if _, err := Evaluate(m, 64, []Assignment{Uniform(3, comm.DP)}, unitLevels(1)); !errors.Is(err, ErrPlan) {
 		t.Errorf("wrong-width assignment accepted: %v", err)
 	}
-	if _, err := Hierarchical(m, 64, -1); !errors.Is(err, ErrPlan) {
-		t.Errorf("negative depth accepted: %v", err)
+	if _, err := Evaluate(m, 64, []Assignment{Uniform(4, comm.DP)}, unitLevels(2)); !errors.Is(err, ErrPlan) {
+		t.Errorf("weights for the wrong depth accepted: %v", err)
 	}
-	if _, err := Hierarchical(m, 64, 30); !errors.Is(err, ErrPlan) {
+	if _, err := Solve(Request{Model: m, Batch: 64, Levels: unitLevels(30)}); !errors.Is(err, ErrPlan) {
 		t.Errorf("absurd depth accepted: %v", err)
 	}
-	if _, err := Hierarchical(m, 0, 2); err == nil {
+	if _, err := Solve(Request{Model: m, Batch: 0, Levels: unitLevels(2)}); err == nil {
 		t.Error("zero batch accepted")
 	}
 }
@@ -306,7 +312,8 @@ func TestExplore(t *testing.T) {
 	m := nn.LenetC()
 	hp := mustHier(t, m, 256, 4)
 	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 0, Layer: 1}}
-	points, err := Explore(m, 256, hp.Levels, free)
+	ws := unitLevels(4)
+	points, err := Explore(nil, nil, m, 256, hp.Levels, free, ws)
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -333,14 +340,17 @@ func TestExplore(t *testing.T) {
 		t.Error("HyPar's own code not in exploration")
 	}
 	// Error paths.
-	if _, err := Explore(m, 256, hp.Levels, []FreeVar{{Level: 9, Layer: 0}}); !errors.Is(err, ErrPlan) {
+	if _, err := Explore(nil, nil, m, 256, hp.Levels, []FreeVar{{Level: 9, Layer: 0}}, ws); !errors.Is(err, ErrPlan) {
 		t.Errorf("bad level accepted: %v", err)
 	}
-	if _, err := Explore(m, 256, hp.Levels, []FreeVar{{Level: 0, Layer: 9}}); !errors.Is(err, ErrPlan) {
+	if _, err := Explore(nil, nil, m, 256, hp.Levels, []FreeVar{{Level: 0, Layer: 9}}, ws); !errors.Is(err, ErrPlan) {
 		t.Errorf("bad layer accepted: %v", err)
 	}
-	if _, err := Explore(m, 256, hp.Levels, make([]FreeVar, 21)); !errors.Is(err, ErrPlan) {
+	if _, err := Explore(nil, nil, m, 256, hp.Levels, make([]FreeVar, 21), ws); !errors.Is(err, ErrPlan) {
 		t.Errorf("oversized exploration accepted: %v", err)
+	}
+	if _, err := Explore(nil, nil, m, 256, hp.Levels, free, ws[:3]); !errors.Is(err, ErrPlan) {
+		t.Errorf("weights for the wrong depth accepted: %v", err)
 	}
 }
 

@@ -93,11 +93,12 @@ func TestRandomModelsInvariants(t *testing.T) {
 		}
 
 		// (2) Hierarchical agrees with its own replay.
-		hp, err := Hierarchical(m, batch, levels)
+		ws := unitLevels(levels)
+		hp, err := Solve(Request{Model: m, Batch: batch, Levels: ws})
 		if err != nil {
 			t.Fatalf("trial %d: hierarchical: %v", trial, err)
 		}
-		replay, err := Evaluate(m, batch, hp.Levels)
+		replay, err := Evaluate(m, batch, hp.Levels, ws)
 		if err != nil {
 			t.Fatalf("trial %d: evaluate: %v", trial, err)
 		}
@@ -106,11 +107,11 @@ func TestRandomModelsInvariants(t *testing.T) {
 		}
 
 		// (3) Never worse than the uniform baselines.
-		dp, err := DataParallel(m, batch, levels)
+		dp, err := DataParallel(m, batch, ws)
 		if err != nil {
 			t.Fatalf("trial %d: dp: %v", trial, err)
 		}
-		mp, err := ModelParallel(m, batch, levels)
+		mp, err := ModelParallel(m, batch, ws)
 		if err != nil {
 			t.Fatalf("trial %d: mp: %v", trial, err)
 		}
@@ -147,7 +148,7 @@ func TestRandomAssignmentsEvaluate(t *testing.T) {
 				}
 			}
 		}
-		p, err := Evaluate(m, 64, levels)
+		p, err := Evaluate(m, 64, levels, unitLevels(len(levels)))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -8,12 +8,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/runner"
 )
 
-// plansAgree compares the exported content of two plans exactly: the
-// byte-identity contract the wrapper refactor is pinned against.
+// plansAgree compares the exported content of two plans exactly.
 // (reflect.DeepEqual on whole plans would also compare the unexported
 // warm-start fingerprints, which legitimately differ across methods.)
 func plansAgree(a, b *Plan) bool {
@@ -24,47 +24,74 @@ func plansAgree(a, b *Plan) bool {
 		a.TotalElems == b.TotalElems
 }
 
-// TestSolveMatchesLegacyWrappers: every pre-refactor entry point is a
-// thin wrapper over Solve, and calling Solve directly with the
-// equivalent Request returns the identical plan.
-func TestSolveMatchesLegacyWrappers(t *testing.T) {
-	chain := nn.AlexNet()
-	fork := cancelFork(3)
-	w := Weights{Grad: 0.5, Psum: 1, Convert: 2}
-	perLevel := []Weights{UnitWeights(), w, UnitWeights()}
-	pool := runner.Serial()
+// TestWeightedWrappersUnitIdentity: the weighted forms of the
+// single-level DP and its exhaustive objective are byte-identical to
+// the unweighted originals at UnitWeights (scaling by 1.0 is exact in
+// IEEE arithmetic), and Evaluate of a search's own levels reproduces
+// the search's plan exactly, at unit and at non-unit per-level weights.
+func TestWeightedWrappersUnitIdentity(t *testing.T) {
+	m := nn.AlexNet()
+	const batch = 16
+	u := UnitWeights()
 
-	cases := []struct {
-		name   string
-		legacy func() (*Plan, error)
-		req    Request
-	}{
-		{"Hierarchical", func() (*Plan, error) { return Hierarchical(chain, 64, 3) },
-			Request{Model: chain, Batch: 64, Levels: []Weights{UnitWeights(), UnitWeights(), UnitWeights()}}},
-		{"HierarchicalGraph", func() (*Plan, error) { return Hierarchical(fork, 16, 2) },
-			Request{Model: fork, Batch: 16, Levels: []Weights{UnitWeights(), UnitWeights()}}},
-		{"HierarchicalWeighted", func() (*Plan, error) { return HierarchicalWeighted(chain, 64, 2, w) },
-			Request{Model: chain, Batch: 64, Levels: []Weights{w, w}}},
-		{"HierarchicalPerLevel", func() (*Plan, error) { return HierarchicalPerLevel(chain, 32, perLevel) },
-			Request{Model: chain, Batch: 32, Levels: perLevel}},
-		{"HierarchicalInference", func() (*Plan, error) { return HierarchicalInference(chain, 64, 2) },
-			Request{Model: chain, Batch: 64, Levels: []Weights{UnitWeights(), UnitWeights()}, Objective: ObjectiveInference}},
-		{"BruteForce", func() (*Plan, error) { return BruteForceWith(pool, cancelChain(5), 8, 2) },
-			Request{Model: cancelChain(5), Batch: 8, Levels: []Weights{UnitWeights(), UnitWeights()}, Pool: pool, Method: MethodBrute}},
-		{"BruteForceWeighted", func() (*Plan, error) { return BruteForceWeightedWith(pool, cancelChain(5), 8, 2, w) },
-			Request{Model: cancelChain(5), Batch: 8, Levels: []Weights{w, w}, Pool: pool, Method: MethodBrute}},
+	amounts, _ := oracleAmounts(t, m, batch)
+	cost, assign := TwoWay(amounts)
+	costW, assignW := TwoWayWeighted(amounts, u)
+	if cost != costW || assign.String() != assignW.String() {
+		t.Errorf("TwoWayWeighted(unit) = (%g, %s), want (%g, %s)", costW, assignW, cost, assign)
 	}
-	for _, tc := range cases {
-		want, err := tc.legacy()
-		if err != nil {
-			t.Fatalf("%s: legacy: %v", tc.name, err)
+	if ac := AssignmentCostWeighted(amounts, assign, u); ac != AssignmentCost(amounts, assign) {
+		t.Errorf("AssignmentCostWeighted(unit) = %g, want %g", ac, AssignmentCost(amounts, assign))
+	}
+
+	for _, ws := range [][]Weights{
+		{u, u},
+		{u, {Grad: 0.5, Psum: 1, Convert: 2}, {Grad: 1, Psum: 0.5, Convert: 1}},
+	} {
+		for _, model := range []*nn.Model{m, cancelFork(3)} {
+			plan, err := Solve(Request{Model: model, Batch: batch, Levels: ws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := Evaluate(model, batch, plan.Levels, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plansAgree(ev, plan) {
+				t.Errorf("%s, %d levels: Evaluate of the search's own levels diverges (%g vs %g)",
+					model.Name, len(ws), ev.TotalElems, plan.TotalElems)
+			}
 		}
-		got, err := Solve(tc.req)
-		if err != nil {
-			t.Fatalf("%s: Solve: %v", tc.name, err)
+	}
+}
+
+// TestNegativeWeightsRejected: every entry point that takes per-level
+// weights refuses an invalid weight with ErrPlan before doing any work.
+func TestNegativeWeightsRejected(t *testing.T) {
+	m := cancelChain(4)
+	const batch = 8
+	u := UnitWeights()
+	bad := []Weights{u, {Grad: -1, Psum: 1, Convert: 1}}
+	base := []Assignment{Uniform(4, comm.DP), Uniform(4, comm.MP)}
+	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 1, Layer: 2}}
+
+	for _, method := range []Method{MethodHierarchical, MethodBrute, MethodBeam} {
+		req := Request{Model: m, Batch: batch, Levels: bad, Method: method, Pool: runner.Serial()}
+		if _, err := Solve(req); !errors.Is(err, ErrPlan) {
+			t.Errorf("%v Solve accepted a negative weight: %v", method, err)
 		}
-		if !plansAgree(got, want) {
-			t.Errorf("%s: Solve plan differs from legacy wrapper", tc.name)
+	}
+	if _, err := Evaluate(m, batch, base, bad); !errors.Is(err, ErrPlan) {
+		t.Errorf("Evaluate accepted a negative weight: %v", err)
+	}
+	if _, err := Explore(nil, runner.Serial(), m, batch, base, free, bad); !errors.Is(err, ErrPlan) {
+		t.Errorf("Explore accepted a negative weight: %v", err)
+	}
+	for name, baseline := range map[string]func(*nn.Model, int, []Weights) (*Plan, error){
+		"DataParallel": DataParallel, "ModelParallel": ModelParallel, "OneWeirdTrick": OneWeirdTrick,
+	} {
+		if _, err := baseline(m, batch, bad); !errors.Is(err, ErrPlan) {
+			t.Errorf("%s accepted a negative weight: %v", name, err)
 		}
 	}
 }
@@ -94,7 +121,6 @@ func TestSolveValidation(t *testing.T) {
 	unit := []Weights{UnitWeights()}
 	for name, req := range map[string]Request{
 		"nil model":         {Batch: 8, Levels: unit},
-		"negative cap":      {Model: m, Batch: 8, Levels: unit, FrontierCap: -1},
 		"negative width":    {Model: m, Batch: 8, Levels: unit, Method: MethodBeam, BeamWidth: -2},
 		"bad weights":       {Model: m, Batch: 8, Levels: []Weights{{Grad: -1, Psum: 1, Convert: 1}}},
 		"unknown method":    {Model: m, Batch: 8, Levels: unit, Method: Method(99)},
@@ -106,46 +132,26 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
-// TestRequestFrontierCap: the per-request cap bounds the exact graph DP
-// without touching the package default, and zero means the default.
-func TestRequestFrontierCap(t *testing.T) {
-	fork := cancelFork(8) // frontier width 8
-	unit := []Weights{UnitWeights()}
-	if _, err := Solve(Request{Model: fork, Batch: 2, Levels: unit, FrontierCap: 4}); !errors.Is(err, ErrTooWide) {
-		t.Fatalf("Solve under request cap 4 = %v, want ErrTooWide", err)
-	}
-	if _, err := Solve(Request{Model: fork, Batch: 2, Levels: unit}); err != nil {
-		t.Fatalf("Solve under default cap: %v", err)
-	}
-	if got := FrontierCap(); got != maxGraphFrontier {
-		t.Fatalf("request cap leaked into the package default: FrontierCap() = %d", got)
-	}
-	// Values above the compiled-in maximum clamp rather than unlocking
-	// state-key widths the exact DP cannot represent.
-	if _, err := Solve(Request{Model: cancelFork(18), Batch: 2, Levels: unit, FrontierCap: 64}); !errors.Is(err, ErrTooWide) {
-		t.Fatalf("Solve with cap 64 on width-18 fork = %v, want ErrTooWide (clamped)", err)
-	}
-}
-
-// TestConcurrentFrontierCaps runs solves with different per-request
-// caps concurrently — the scenario the deprecated package global could
-// not express without racing (run under -race in CI).
+// TestConcurrentFrontierCaps runs exact and beam solves of one
+// too-wide graph concurrently: the frontier cap is a compiled-in bound
+// of the exact DP, not shared state, so the exact solves keep refusing
+// and the beam solves keep planning (run under -race in CI).
 func TestConcurrentFrontierCaps(t *testing.T) {
-	fork := cancelFork(8)
+	fork := cancelFork(maxGraphFrontier + 2)
 	unit := []Weights{UnitWeights()}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for _, tc := range []struct {
-		cap     int
+		method  Method
 		wantErr bool
-	}{{4, true}, {0, false}} {
+	}{{MethodHierarchical, true}, {MethodBeam, false}} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_, err := Solve(Request{Model: fork, Batch: 2, Levels: unit, FrontierCap: tc.cap})
-				if tc.wantErr != (err != nil) {
-					errs <- fmt.Errorf("cap %d: err = %v, wantErr %v", tc.cap, err, tc.wantErr)
+			for i := 0; i < 20; i++ {
+				_, err := Solve(Request{Model: fork, Batch: 2, Levels: unit, Method: tc.method})
+				if tc.wantErr != errors.Is(err, ErrTooWide) || (!tc.wantErr && err != nil) {
+					errs <- fmt.Errorf("%v: err = %v, wantErr %v", tc.method, err, tc.wantErr)
 					return
 				}
 			}
@@ -243,7 +249,7 @@ func TestWarmStartReusesLevels(t *testing.T) {
 func TestWarmStartIgnoresForeignPlans(t *testing.T) {
 	m := cancelChain(4)
 	unit := []Weights{UnitWeights(), UnitWeights()}
-	foreign, err := BruteForce(m, 8, 2) // brute plans have no levelKeys
+	foreign, err := Solve(Request{Model: m, Batch: 8, Levels: unit, Method: MethodBrute}) // brute plans have no levelKeys
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +289,7 @@ func TestWarmStartMethodMismatch(t *testing.T) {
 func TestDPCellsCounts(t *testing.T) {
 	m := cancelChain(6)
 	before := DPCells()
-	if _, err := Hierarchical(m, 8, 3); err != nil {
+	if _, err := Solve(Request{Model: m, Batch: 8, Levels: unitLevels(3)}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := DPCells()-before, int64(3*2*6); got != want {

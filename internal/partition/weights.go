@@ -1,13 +1,10 @@
 package partition
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/nn"
-	"repro/internal/runner"
 )
 
 // Weights scales the three communication classes of the training cost
@@ -87,218 +84,21 @@ func AssignmentCostWeighted(amounts []comm.LayerAmounts, a Assignment, w Weights
 	return total
 }
 
-// HierarchicalWeighted is Hierarchical (Algorithm 2) under platform
-// cost weights. HierarchicalWeighted(m, b, l, UnitWeights()) is
-// identical to Hierarchical(m, b, l).
-func HierarchicalWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return HierarchicalWeightedCtx(nil, m, batch, levels, w)
-}
-
-// HierarchicalWeightedCtx is HierarchicalWeighted with cancellation
-// (see HierarchicalCtx). A nil ctx never cancels.
-func HierarchicalWeightedCtx(ctx context.Context, m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	ws, err := repeatWeights(w, levels)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx})
-}
-
-// EvaluateWeighted is Evaluate under platform cost weights: it computes
-// the weighted communication volumes of an arbitrary hierarchical
-// assignment.
-func EvaluateWeighted(m *nn.Model, batch int, levels []Assignment, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	shapes, preds, err := prepare(m, batch, len(levels))
-	if err != nil {
-		return nil, err
-	}
-	return evaluateShapesWith(m, batch, levels, shapes, EdgesOf(preds), w.costs())
-}
-
-// DataParallelWeighted is the Data Parallelism baseline with volumes
-// recorded under platform cost weights.
-func DataParallelWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return uniformPlanWeighted(m, batch, levels, comm.DP, w)
-}
-
-// ModelParallelWeighted is the Model Parallelism baseline with volumes
-// recorded under platform cost weights.
-func ModelParallelWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return uniformPlanWeighted(m, batch, levels, comm.MP, w)
-}
-
-// OneWeirdTrickWeighted is Krizhevsky's configuration with volumes
-// recorded under platform cost weights.
-func OneWeirdTrickWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	a := make(Assignment, len(m.Layers))
-	for l, layer := range m.Layers {
-		if layer.Type == nn.FC {
-			a[l] = comm.MP
-		} else {
-			a[l] = comm.DP
-		}
-	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = a.Clone()
-	}
-	return EvaluateWeighted(m, batch, assigns, w)
-}
-
-// uniformPlanWeighted builds a uniform plan evaluated under weights.
-func uniformPlanWeighted(m *nn.Model, batch, levels int, p comm.Parallelism, w Weights) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = Uniform(len(m.Layers), p)
-	}
-	return EvaluateWeighted(m, batch, assigns, w)
-}
-
-// BruteForceWeightedWith is BruteForceWith minimizing the weighted
-// objective — the exactness reference HierarchicalWeighted is compared
-// against in the per-platform conformance suite.
-func BruteForceWeightedWith(pool *runner.Pool, m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return BruteForceWeightedCtx(nil, pool, m, batch, levels, w)
-}
-
-// BruteForceWeightedCtx is BruteForceWeightedWith with cancellation
-// (see BruteForceCtx). A nil ctx never cancels.
-func BruteForceWeightedCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	ws, err := repeatWeights(w, levels)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx, Pool: pool, Method: MethodBrute})
-}
-
 // levelCosts compiles a per-level weights vector to the per-level cost
-// models the search internals consume, validating every entry.
-func levelCosts(ws []Weights) ([]costs, error) {
+// models of the objective the search internals consume, validating
+// every entry. A level repeating the previous level's weights shares
+// its cost model, so a uniform array compiles one.
+func levelCosts(ws []Weights, o Objective) ([]costs, error) {
 	cs := make([]costs, len(ws))
 	for h, w := range ws {
 		if err := w.Validate(); err != nil {
 			return nil, fmt.Errorf("level %d: %w", h, err)
 		}
-		cs[h] = w.costs()
+		if h > 0 && w == ws[h-1] {
+			cs[h] = cs[h-1]
+			continue
+		}
+		cs[h] = w.objectiveCosts(o)
 	}
 	return cs, nil
-}
-
-// HierarchicalPerLevel is Hierarchical (Algorithm 2) under a per-level
-// cost model: the level-h run of Algorithm 1 minimizes ws[h] — each cut
-// of a heterogeneous array is scored with the communication weights of
-// the platform actually serving it. The hierarchy depth is len(ws).
-// With every entry identical this is exactly HierarchicalWeighted.
-func HierarchicalPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return HierarchicalPerLevelCtx(nil, m, batch, ws)
-}
-
-// HierarchicalPerLevelCtx is HierarchicalPerLevel with cancellation
-// (see HierarchicalCtx). A nil ctx never cancels.
-func HierarchicalPerLevelCtx(ctx context.Context, m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx})
-}
-
-// EvaluatePerLevel is Evaluate under a per-level cost model: level h's
-// recorded volumes are scored by ws[h]. len(ws) must equal len(levels).
-func EvaluatePerLevel(m *nn.Model, batch int, levels []Assignment, ws []Weights) (*Plan, error) {
-	cs, err := levelCosts(ws)
-	if err != nil {
-		return nil, err
-	}
-	shapes, preds, err := prepare(m, batch, len(levels))
-	if err != nil {
-		return nil, err
-	}
-	return evaluateShapesLevelsWith(m, batch, levels, shapes, EdgesOf(preds), cs)
-}
-
-// DataParallelPerLevel is the Data Parallelism baseline with volumes
-// recorded under a per-level cost model (depth len(ws)).
-func DataParallelPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return uniformPlanPerLevel(m, batch, comm.DP, ws)
-}
-
-// ModelParallelPerLevel is the Model Parallelism baseline with volumes
-// recorded under a per-level cost model (depth len(ws)).
-func ModelParallelPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return uniformPlanPerLevel(m, batch, comm.MP, ws)
-}
-
-// OneWeirdTrickPerLevel is Krizhevsky's configuration with volumes
-// recorded under a per-level cost model (depth len(ws)).
-func OneWeirdTrickPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	a := make(Assignment, len(m.Layers))
-	for l, layer := range m.Layers {
-		if layer.Type == nn.FC {
-			a[l] = comm.MP
-		} else {
-			a[l] = comm.DP
-		}
-	}
-	assigns := make([]Assignment, len(ws))
-	for h := range assigns {
-		assigns[h] = a.Clone()
-	}
-	return EvaluatePerLevel(m, batch, assigns, ws)
-}
-
-// uniformPlanPerLevel builds a uniform plan evaluated under a per-level
-// cost model.
-func uniformPlanPerLevel(m *nn.Model, batch int, p comm.Parallelism, ws []Weights) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	assigns := make([]Assignment, len(ws))
-	for h := range assigns {
-		assigns[h] = Uniform(len(m.Layers), p)
-	}
-	return EvaluatePerLevel(m, batch, assigns, ws)
-}
-
-// BruteForcePerLevelWith is the exhaustive search minimizing the
-// per-level weighted objective — the exactness reference
-// HierarchicalPerLevel is compared against in the mixed-assignment
-// conformance suite.
-func BruteForcePerLevelWith(pool *runner.Pool, m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return BruteForcePerLevelCtx(nil, pool, m, batch, ws)
-}
-
-// BruteForcePerLevelCtx is BruteForcePerLevelWith with cancellation
-// (see BruteForceCtx). A nil ctx never cancels.
-func BruteForcePerLevelCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx, Pool: pool, Method: MethodBrute})
-}
-
-// ExploreWeightedWith is ExploreWith with every point's volumes
-// recorded under platform cost weights.
-func ExploreWeightedWith(pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar, w Weights) ([]ExplorePoint, error) {
-	return ExploreWeightedCtx(nil, pool, m, batch, base, free, w)
-}
-
-// ExploreWeightedCtx is ExploreWeightedWith with cancellation (see
-// ExploreCtx). A nil ctx never cancels.
-func ExploreWeightedCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar, w Weights) ([]ExplorePoint, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return exploreWith(ctx, pool, m, batch, base, free, w.costs())
 }

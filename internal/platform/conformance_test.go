@@ -250,7 +250,6 @@ func TestConformanceTwoWayOracle(t *testing.T) {
 // beat the exhaustive minimum of the same weighted objective.
 func TestConformanceHierarchicalOracle(t *testing.T) {
 	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
-		w := p.PartitionWeights()
 		r := rand.New(rand.NewSource(11))
 		pool := runner.Serial()
 		trials := 0
@@ -263,11 +262,17 @@ func TestConformanceHierarchicalOracle(t *testing.T) {
 			trials++
 			batch := 1 << uint(r.Intn(4))
 
-			hier, err := partition.HierarchicalWeighted(m, batch, levels, w)
+			a, err := platform.UniformAssignment(p, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := partition.Request{Model: m, Batch: batch, Levels: a.PartitionWeights()}
+			hier, err := partition.Solve(req)
 			if err != nil {
 				t.Fatalf("%s: hierarchical: %v", m.Name, err)
 			}
-			bf, err := partition.BruteForceWeightedWith(pool, m, batch, levels, w)
+			req.Pool, req.Method = pool, partition.MethodBrute
+			bf, err := partition.Solve(req)
 			if err != nil {
 				t.Fatalf("%s: brute force: %v", m.Name, err)
 			}
@@ -287,7 +292,11 @@ func TestConformanceSimulate(t *testing.T) {
 	m := nn.VGGA()
 	steps := make(map[string]float64)
 	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
-		plan, err := partition.HierarchicalWeighted(m, 64, 2, p.PartitionWeights())
+		a, err := platform.UniformAssignment(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := partition.Solve(partition.Request{Model: m, Batch: 64, Levels: a.PartitionWeights()})
 		if err != nil {
 			t.Fatal(err)
 		}

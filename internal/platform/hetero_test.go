@@ -60,16 +60,18 @@ func TestConformanceMixedOracle(t *testing.T) {
 		batch := 1 << uint(r.Intn(4))
 		ws := randomMixedWeights(r, levels)
 
-		hier, err := partition.HierarchicalPerLevel(m, batch, ws)
+		req := partition.Request{Model: m, Batch: batch, Levels: ws}
+		hier, err := partition.Solve(req)
 		if err != nil {
 			t.Fatalf("%s: hierarchical: %v", m.Name, err)
 		}
-		bf, err := partition.BruteForcePerLevelWith(pool, m, batch, ws)
+		req.Pool, req.Method = pool, partition.MethodBrute
+		bf, err := partition.Solve(req)
 		if err != nil {
 			t.Fatalf("%s: brute force: %v", m.Name, err)
 		}
 		if hier.TotalElems < bf.TotalElems && !almostEq(hier.TotalElems, bf.TotalElems) {
-			t.Errorf("%s (batch %d, levels %d, weights %v): HierarchicalPerLevel %g beats BruteForcePerLevel %g — oracle violated",
+			t.Errorf("%s (batch %d, levels %d, weights %v): hierarchical Solve %g beats brute-force Solve %g — oracle violated",
 				m.Name, batch, levels, ws, hier.TotalElems, bf.TotalElems)
 		}
 	}

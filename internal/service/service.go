@@ -1089,7 +1089,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) error {
 
 // computePlan renders the /v1/plan response for a resolved request.
 func (s *Server) computePlan(ctx context.Context, p *parsed) (response, error) {
-	plan, err := hypar.NewPlanCtx(ctx, p.model, p.strategy, p.cfg)
+	plan, err := hypar.NewPlanOpts(ctx, p.model, p.strategy, p.cfg, hypar.PlanOptions{})
 	if err != nil {
 		return response{}, computeErr(err)
 	}
@@ -1198,10 +1198,13 @@ func finishExploreParse(p *parsed) error {
 // explore request: a header line, one line per sweep point in code
 // order, and a summary line. tap (if non-nil) receives each rendered
 // line as it is produced — the /v1/explore handler streams them to its
-// client, async jobs count them as progress. ctx (if non-nil) cancels
-// the sweep between lines; a nil ctx never cancels, which is what the
-// HTTP leader wants (its coalesced followers still need the result
-// even if the leader's own client disconnects).
+// client, async jobs count them as progress. The header waits for the
+// first point, so a request that fails before the sweep (planning
+// refused, say) produces no line at all and can still be answered with
+// its real status. ctx (if non-nil) cancels the sweep between lines; a
+// nil ctx never cancels, which is what the HTTP leader wants (its
+// coalesced followers still need the result even if the leader's own
+// client disconnects).
 func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byte)) (response, error) {
 	var buf strings.Builder
 	line := func(v any) error {
@@ -1220,13 +1223,17 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byt
 		return nil
 	}
 
-	if err := line(exploreHeaderJSON{
-		Type: "header", Model: p.model.Name, Config: p.cfg, Points: 1 << uint(len(p.free)),
-	}); err != nil {
-		return response{}, err
-	}
 	var peak, hp explorePointJSON
+	started := false
 	err := s.sessionFor(p.cfg).ExploreStream(p.model, p.free, nil, func(ep experiments.ExplorePoint) error {
+		if !started {
+			started = true
+			if err := line(exploreHeaderJSON{
+				Type: "header", Model: p.model.Name, Config: p.cfg, Points: 1 << uint(len(p.free)),
+			}); err != nil {
+				return err
+			}
+		}
 		pj := explorePointJSON{Type: "point", Code: ep.Code, Labels: ep.Labels, Gain: ep.Gain, IsHyPar: ep.IsHyPar}
 		if pj.Gain > peak.Gain {
 			peak = pj
@@ -1237,7 +1244,7 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byt
 		return line(pj)
 	})
 	if err != nil {
-		return response{}, err
+		return response{}, computeErr(err)
 	}
 	peak.Type, hp.Type = "point", "point"
 	if err := line(exploreSummaryJSON{Type: "summary", Peak: peak, HyPar: hp}); err != nil {
@@ -1265,7 +1272,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 	defer cancelWait()
 	computeCtx, cancelCompute := s.deadlineCtx(nil)
 	defer cancelCompute()
-	var streamed bool
+	// wrote marks that this request, as the flight leader, has sent its
+	// client the first line (and with it the 200 status).
+	var wrote bool
 	resp, err := s.resolveRetry(waitCtx, computeCtx, "explore", key, func(cctx context.Context) (response, error) {
 		// This request is the flight leader: it streams lines to its
 		// own client as they are computed while exploreBody tees them
@@ -1277,11 +1286,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 		// disconnect) and only the doomed client writes stop.
 		var clientGone bool
 		flusher, _ := w.(http.Flusher)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		streamed = true
 		return s.exploreBody(cctx, p, func(b []byte) {
 			if clientGone {
 				return
+			}
+			if !wrote {
+				wrote = true
+				w.Header().Set("Content-Type", "application/x-ndjson")
 			}
 			if _, err := w.Write(b); err != nil {
 				clientGone = true
@@ -1291,7 +1302,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 		})
 	})
 	if err != nil {
-		if streamed {
+		if wrote {
 			// Headers are already out; the broken stream is the error
 			// signal the client sees. Count the failure here since
 			// returning nil bypasses post()'s error accounting.
@@ -1302,7 +1313,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 		}
 		return err
 	}
-	if !streamed {
+	if !wrote {
 		// Followers, retried followers, and cache hits replay the
 		// rendered body.
 		writeResponse(w, resp)

@@ -117,12 +117,14 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 	}
 	s := NewSimulator()
 	for _, m := range []*nn.Model{nn.LenetC(), nn.AlexNet(), nn.VGGA()} {
-		for name, mk := range map[string]func(*nn.Model, int, int) (*partition.Plan, error){
-			"hypar": partition.Hierarchical,
-			"dp":    partition.DataParallel,
-			"mp":    partition.ModelParallel,
+		for name, mk := range map[string]func(*nn.Model, int, []partition.Weights) (*partition.Plan, error){
+			"hypar": func(m *nn.Model, batch int, ws []partition.Weights) (*partition.Plan, error) {
+				return partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws})
+			},
+			"dp": partition.DataParallel,
+			"mp": partition.ModelParallel,
 		} {
-			plan, err := mk(m, 256, 4)
+			plan, err := mk(m, 256, unitLevels(4))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,18 +30,28 @@ func simulate(t *testing.T, m *nn.Model, plan *partition.Plan, a Arch) *Stats {
 	return s
 }
 
+// unitLevels is the paper's cost model at every one of levels hierarchy
+// levels.
+func unitLevels(levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return ws
+}
+
 func hyparPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
-	p, err := partition.Hierarchical(m, batch, levels)
+	p, err := partition.Solve(partition.Request{Model: m, Batch: batch, Levels: unitLevels(levels)})
 	if err != nil {
-		t.Fatalf("Hierarchical(%s): %v", m.Name, err)
+		t.Fatalf("Solve(%s): %v", m.Name, err)
 	}
 	return p
 }
 
 func dpPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
-	p, err := partition.DataParallel(m, batch, levels)
+	p, err := partition.DataParallel(m, batch, unitLevels(levels))
 	if err != nil {
 		t.Fatalf("DataParallel(%s): %v", m.Name, err)
 	}
@@ -50,7 +60,7 @@ func dpPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 
 func mpPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
-	p, err := partition.ModelParallel(m, batch, levels)
+	p, err := partition.ModelParallel(m, batch, unitLevels(levels))
 	if err != nil {
 		t.Fatalf("ModelParallel(%s): %v", m.Name, err)
 	}

@@ -23,6 +23,16 @@ func hierNet() *nn.Model {
 	}
 }
 
+// unitLevels is the paper's cost model at every one of levels hierarchy
+// levels.
+func unitLevels(levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return ws
+}
+
 // planOf builds a fixed two-level plan from strings like "dmd"/"mdd".
 func planOf(t *testing.T, m *nn.Model, batch int, levels ...string) *partition.Plan {
 	t.Helper()
@@ -35,7 +45,7 @@ func planOf(t *testing.T, m *nn.Model, batch int, levels ...string) *partition.P
 			}
 		}
 	}
-	p, err := partition.Evaluate(m, batch, assigns)
+	p, err := partition.Evaluate(m, batch, assigns, unitLevels(len(assigns)))
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -140,7 +150,7 @@ func TestHierarchicalMatchesTwoGroup(t *testing.T) {
 // output directly.
 func TestHierarchicalPlannedPlan(t *testing.T) {
 	m := hierNet()
-	plan, err := partition.Hierarchical(m, 8, 2)
+	plan, err := partition.Solve(partition.Request{Model: m, Batch: 8, Levels: unitLevels(2)})
 	if err != nil {
 		t.Fatalf("Hierarchical: %v", err)
 	}

@@ -1,18 +1,17 @@
-// Command apicheck freezes the partition package's wrapper surface.
+// Command apicheck keeps the partition package's search surface
+// collapsed.
 //
-// Before the unified partition.Solve core landed, every new search
-// capability grew a fresh exported variant — a ...Ctx form for
-// cancellation, a ...With form for an explicit pool, a ...Weighted or
-// ...PerLevel form for cost models — and the matrix multiplied. The
-// refactor collapsed all of them into thin wrappers over one
-// Request/Solve entry point; this lint keeps it collapsed. Any NEW
-// exported function in internal/partition whose name ends in Ctx,
-// With, Weighted or PerLevel fails CI: new capabilities belong on
-// partition.Request as fields, not on the package as combinatorial
-// function variants. The pre-refactor wrappers are grandfathered in
-// the frozen allowlist below (they are public API and stay), and
-// deleting one merely shrinks the frozen set — apicheck only rejects
-// growth.
+// Every partition search goes through one Request/Solve entry point,
+// and fixed assignments through one Evaluate, one Explore and the three
+// baselines, each taking per-level weights. Before that core existed,
+// every new capability grew a fresh exported variant — a ...Ctx form
+// for cancellation, a ...With form for an explicit pool, a ...Weighted
+// or ...PerLevel form for cost models — and the matrix multiplied.
+// This lint keeps it from growing back: any exported function in
+// internal/partition whose name ends in Ctx, With, Weighted or PerLevel
+// fails CI unless it is in the frozen set below. New capabilities
+// belong on partition.Request as fields, not on the package as
+// combinatorial function variants.
 //
 // Usage: go run ./scripts/apicheck [dir]  (default internal/partition)
 package main
@@ -28,35 +27,13 @@ import (
 	"strings"
 )
 
-// frozen is the pre-Solve wrapper surface, verbatim. Do not add to it:
-// a new search capability is a new Request field, not a new variant.
+// frozen lists the variant-shaped names that stay: the weighted forms
+// of the single-level DP and of its exhaustive objective, which the
+// per-platform conformance oracle tests against. Do not add to it: a
+// new search capability is a new Request field, not a new variant.
 var frozen = map[string]bool{
-	"AssignmentCostWeighted":  true,
-	"BruteForceCtx":           true,
-	"BruteForcePerLevelCtx":   true,
-	"BruteForcePerLevelWith":  true,
-	"BruteForceWeightedCtx":   true,
-	"BruteForceWeightedWith":  true,
-	"BruteForceWith":          true,
-	"DataParallelPerLevel":    true,
-	"DataParallelWeighted":    true,
-	"EvaluatePerLevel":        true,
-	"EvaluateWeighted":        true,
-	"ExploreCtx":              true,
-	"ExploreWeightedCtx":      true,
-	"ExploreWeightedWith":     true,
-	"ExploreWith":             true,
-	"HierarchicalCtx":         true,
-	"HierarchicalPerLevel":    true,
-	"HierarchicalPerLevelCtx": true,
-	"HierarchicalWeighted":    true,
-	"HierarchicalWeightedCtx": true,
-	"ModelParallelPerLevel":   true,
-	"ModelParallelWeighted":   true,
-	"OneWeirdTrickPerLevel":   true,
-	"OneWeirdTrickWeighted":   true,
-	"TwoWayGraphCtx":          true,
-	"TwoWayWeighted":          true,
+	"AssignmentCostWeighted": true,
+	"TwoWayWeighted":         true,
 }
 
 // variantSuffixes are the name shapes the old matrix multiplied along.
@@ -80,7 +57,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "add the capability as a partition.Request field served by Solve instead of a new wrapper")
 		os.Exit(1)
 	}
-	fmt.Printf("apicheck: %s wrapper surface unchanged (%d frozen variants)\n", dir, len(frozen))
+	fmt.Printf("apicheck: %s has no exported search variants beyond the %d frozen ones\n", dir, len(frozen))
 }
 
 // check parses every non-test file in dir and returns the exported
