@@ -132,6 +132,37 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
+// TestRequestFrontierCap: a Request carries no frontier cap of its own.
+// Under every objective, and with a warm plan of the same graph, the
+// exact DP plans the width-8 fork and refuses a fork past the compiled-in
+// cap with ErrTooWide; no request option unlocks state-key widths the
+// exact DP cannot represent.
+func TestRequestFrontierCap(t *testing.T) {
+	narrow := cancelFork(8) // frontier width 8
+	wide := cancelFork(maxGraphFrontier + 2)
+	for _, obj := range []Objective{ObjectiveTraining, ObjectiveInference} {
+		req := unitSolve(narrow, 2, 2)
+		req.Objective = obj
+		if _, err := Solve(req); err != nil {
+			t.Fatalf("objective %d: Solve of the width-8 fork: %v", obj, err)
+		}
+		req.Model = wide
+		if _, err := Solve(req); !errors.Is(err, ErrTooWide) {
+			t.Fatalf("objective %d: Solve past the cap = %v, want ErrTooWide", obj, err)
+		}
+		beam := req
+		beam.Method = MethodBeam
+		warm, err := Solve(beam)
+		if err != nil {
+			t.Fatalf("objective %d: beam Solve past the cap: %v", obj, err)
+		}
+		req.Warm = warm
+		if _, err := Solve(req); !errors.Is(err, ErrTooWide) {
+			t.Fatalf("objective %d: warm exact Solve past the cap = %v, want ErrTooWide", obj, err)
+		}
+	}
+}
+
 // TestConcurrentFrontierCaps runs exact and beam solves of one
 // too-wide graph concurrently: the frontier cap is a compiled-in bound
 // of the exact DP, not shared state, so the exact solves keep refusing
