@@ -259,9 +259,10 @@ func BenchmarkSimulateStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateStepReusedEngine is BenchmarkSimulateStep on one
-// Evaluator: the engine's task slab, the arch and the memoized shapes
-// are all reused, isolating the caching layer's allocation win.
+// BenchmarkSimulateStepReusedEngine is BenchmarkSimulateStep without
+// the plan search, on one Evaluator: the arch and the memoized shapes
+// are reused and the engine comes warm from sim.Simulate's pool,
+// isolating the simulated step itself.
 func BenchmarkSimulateStepReusedEngine(b *testing.B) {
 	m, err := hypar.ModelByName("VGG-E")
 	if err != nil {

@@ -880,25 +880,42 @@ func Run(m *Model, s Strategy, c Config) (*Result, error) {
 	return NewEvaluator().Run(m, s, c)
 }
 
-// Evaluator amortizes evaluation state across Run calls: it reuses one
-// simulation engine (task slab and all) and caches the materialized
-// Arch per Config, so sweeps that evaluate many plans stop rebuilding
-// both. It also keeps each model's latest HyPar plan as a warm-start
-// hint, so a sweep that mutates one dimension (bandwidth, platform,
-// batch) re-solves only the hierarchy levels the mutation actually
-// touches — level reuse is fingerprint-guarded (partition.Request.Warm)
-// and byte-identical, so caching across different Configs is safe. An
-// Evaluator is not safe for concurrent use — fan-outs give each worker
-// its own (see runner.MapWith).
+// Evaluator amortizes evaluation state across Run calls: it caches the
+// materialized Arch per Config, so sweeps that evaluate many plans stop
+// rebuilding it, and keeps each model's latest HyPar plan as a
+// warm-start hint, so a sweep that mutates one dimension (bandwidth,
+// platform, batch) re-solves only the hierarchy levels the mutation
+// actually touches — level reuse is fingerprint-guarded
+// (partition.Request.Warm) and byte-identical, so caching across
+// different Configs is safe. Each cache holds at most
+// evaluatorCacheEntries entries. Simulations run on sim.Simulate's
+// pooled engines. An Evaluator is not safe for concurrent use —
+// fan-outs give each worker its own (see runner.MapWith).
 type Evaluator struct {
-	sim   *sim.Simulator
 	archs map[Config]Arch
 	warm  map[string]*Plan
 }
 
+// evaluatorCacheEntries bounds each Evaluator cache. A long-lived
+// Evaluator (the service pools them) sees an unbounded stream of
+// distinct configs and model names; a full cache is cleared before the
+// next new entry goes in, which costs one rebuild per entry that comes
+// back. The bound holds the whole zoo's warm plans and a sweep's
+// configs, so their hits survive.
+const evaluatorCacheEntries = 64
+
+// putBounded stores v under k in one of the Evaluator's caches, first
+// clearing m when it is full and k is new.
+func putBounded[K comparable, V any](m map[K]V, k K, v V) {
+	if _, ok := m[k]; !ok && len(m) >= evaluatorCacheEntries {
+		clear(m)
+	}
+	m[k] = v
+}
+
 // NewEvaluator returns an empty Evaluator.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{sim: sim.NewSimulator(), archs: make(map[Config]Arch), warm: make(map[string]*Plan)}
+	return &Evaluator{archs: make(map[Config]Arch), warm: make(map[string]*Plan)}
 }
 
 // Arch returns the simulated platform for the configuration, cached.
@@ -910,11 +927,11 @@ func (e *Evaluator) Arch(c Config) (Arch, error) {
 	if err != nil {
 		return Arch{}, err
 	}
-	e.archs[c] = arch
+	putBounded(e.archs, c, arch)
 	return arch, nil
 }
 
-// Run plans and simulates one training step on the reusable engine.
+// Run plans and simulates one training step.
 func (e *Evaluator) Run(m *Model, s Strategy, c Config) (*Result, error) {
 	return e.RunCtx(nil, m, s, c)
 }
@@ -940,7 +957,7 @@ func (e *Evaluator) RunCtx(ctx context.Context, m *Model, s Strategy, c Config) 
 		return nil, err
 	}
 	if s == HyPar {
-		e.warm[m.Name] = plan
+		putBounded(e.warm, m.Name, plan)
 	}
 	res, err := e.Simulate(m, s, plan, c)
 	if err != nil {
@@ -1062,14 +1079,14 @@ func (e *Evaluator) Simulate(m *Model, s Strategy, plan *Plan, c Config) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	stats, err := e.sim.Simulate(m, plan, arch)
+	stats, err := sim.Simulate(m, plan, arch)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Strategy: s, Plan: plan, Stats: stats}, nil
 }
 
-// Compare runs every strategy on the model with the reusable engine,
+// Compare runs every strategy on the model with the Evaluator's caches,
 // serially. For the parallel fan-out use the package-level Compare.
 func (e *Evaluator) Compare(m *Model, c Config) (*Comparison, error) {
 	cmp := &Comparison{Model: m.Name, Results: make(map[Strategy]*Result, len(Strategies))}

@@ -38,10 +38,14 @@ type Exploration struct {
 // renders its single 0/1 bit — the label function services and tools
 // use when no figure-specific grouping applies.
 func DefaultExploreLabel(free []partition.FreeVar) func(code int) map[string]string {
+	keys := make([]string, len(free))
+	for i, fv := range free {
+		keys[i] = fmt.Sprintf("L%d.%d", fv.Level, fv.Layer)
+	}
 	return func(code int) map[string]string {
-		labels := make(map[string]string, len(free))
-		for i, fv := range free {
-			labels[fmt.Sprintf("L%d.%d", fv.Level, fv.Layer)] = bits(code, i, 1)
+		labels := make(map[string]string, len(keys))
+		for i, k := range keys {
+			labels[k] = bits(code, i, 1)
 		}
 		return labels
 	}
@@ -91,9 +95,9 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 		return err
 	}
 	dpStep := dp.Stats.StepSeconds
-	return runner.StreamWith(s.pool, points, sim.NewSimulator,
-		func(sm *sim.Simulator, _ int, pt partition.ExplorePoint) (ExplorePoint, error) {
-			stats, err := sm.Simulate(m, pt.Plan, arch)
+	return runner.Stream(s.pool, points,
+		func(_ int, pt partition.ExplorePoint) (ExplorePoint, error) {
+			stats, err := sim.Simulate(m, pt.Plan, arch)
 			if err != nil {
 				return ExplorePoint{}, err
 			}

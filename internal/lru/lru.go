@@ -67,9 +67,9 @@ func (c *Cache[K, V]) costOf(key K, val V) int {
 }
 
 // SetOnEvict installs a hook invoked once per entry leaving the cache —
-// capacity eviction, Remove, or RemoveIf (not value refreshes). The
-// hook runs after the cache lock is released, so it may use the cache's
-// own methods; install it before the cache is shared across goroutines.
+// capacity eviction or Remove (not value refreshes). The hook runs
+// after the cache lock is released, so it may use the cache's own
+// methods; install it before the cache is shared across goroutines.
 // Hooks for entries dropped by one operation run in eviction order.
 func (c *Cache[K, V]) SetOnEvict(fn func(K, V)) { c.onEvict = fn }
 
@@ -164,27 +164,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	c.mu.Unlock()
 	c.notify(dropped)
 	return ok
-}
-
-// RemoveIf drops every entry whose key satisfies pred and returns how
-// many were dropped. pred runs under the cache lock — keep it cheap.
-func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
-	c.mu.Lock()
-	var dropped []entry[K, V]
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry[K, V])
-		if pred(e.key) {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.total -= e.cost
-			dropped = append(dropped, *e)
-		}
-		el = next
-	}
-	c.mu.Unlock()
-	c.notify(dropped)
-	return len(dropped)
 }
 
 // insert adds a fresh entry at the given cost and evicts past the

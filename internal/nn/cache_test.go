@@ -177,3 +177,72 @@ func TestDropCachedShapes(t *testing.T) {
 		t.Error("dropping model a evicted model b's entry")
 	}
 }
+
+// indexedEntries counts the shape index's listed entries.
+func indexedEntries() int {
+	shapeIndex.mu.Lock()
+	defer shapeIndex.mu.Unlock()
+	n := 0
+	for _, bs := range shapeIndex.byModel {
+		n += len(bs)
+	}
+	return n
+}
+
+// TestDropCachedShapesOwnKeysOnly pins the per-model index behind
+// DropCachedShapes: dropping a model removes every batch size of that
+// model and nothing else, even where other models share batch sizes,
+// and the index keeps listing exactly the cache's entries through
+// capacity evictions.
+func TestDropCachedShapesOwnKeysOnly(t *testing.T) {
+	a, b, c := LenetC(), LenetC(), CifarC()
+	for batch := 1; batch <= 20; batch++ {
+		if _, err := a.CachedShapes(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := map[*Model][][]LayerShapes{}
+	for _, m := range []*Model{b, c} {
+		for batch := 1; batch <= 5; batch++ {
+			s, err := m.CachedShapes(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept[m] = append(kept[m], s)
+		}
+	}
+	before := ShapeCacheLen()
+	if n := DropCachedShapes(a); n != 20 {
+		t.Fatalf("DropCachedShapes dropped %d entries, want 20", n)
+	}
+	if got := ShapeCacheLen(); got != before-20 {
+		t.Fatalf("cache holds %d entries after the drop, want %d", got, before-20)
+	}
+	if got := shapeIndex.batches(a); len(got) != 0 {
+		t.Errorf("index still lists batches %v for the dropped model", got)
+	}
+	for m, ss := range kept {
+		for i, want := range ss {
+			got, err := m.CachedShapes(i + 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got[0] != &want[0] {
+				t.Errorf("dropping model a evicted another model's batch-%d entry", i+1)
+			}
+		}
+	}
+	if n, want := indexedEntries(), ShapeCacheLen(); n != want {
+		t.Errorf("index lists %d entries, cache holds %d", n, want)
+	}
+
+	// Capacity evictions leave the index through the eviction hook.
+	for i := 0; i < shapeCacheLimit+64; i++ {
+		if _, err := LenetC().CachedShapes(8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, want := indexedEntries(), ShapeCacheLen(); n != want {
+		t.Errorf("after churn the index lists %d entries, cache holds %d", n, want)
+	}
+}

@@ -1,8 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -71,22 +72,24 @@ func prepare(m *nn.Model, batch, levels int) ([]nn.LayerShapes, [][]int, error) 
 // EdgesOf derives the layer-to-layer edge list from resolved
 // predecessors, in canonical (Src, then Dst) order. Model-input
 // references (-1) carry no partition cost and are dropped.
-func EdgesOf(preds [][]int) []Edge {
-	var edges []Edge
+func EdgesOf(preds [][]int) []Edge { return AppendEdges(nil, preds) }
+
+// AppendEdges appends EdgesOf(preds) to dst and returns the extended
+// slice, so a caller that derives the list per call (the simulator's
+// step builder) can reuse one buffer.
+func AppendEdges(dst []Edge, preds [][]int) []Edge {
+	n := len(dst)
 	for v, ps := range preds {
 		for _, u := range ps {
 			if u >= 0 {
-				edges = append(edges, Edge{Src: u, Dst: v})
+				dst = append(dst, Edge{Src: u, Dst: v})
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
+	slices.SortFunc(dst[n:], func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
-	return edges
+	return dst
 }
 
 // amountsAt derives the per-pair amounts of every layer under the given

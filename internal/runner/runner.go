@@ -176,8 +176,8 @@ func MapCtx[T, R any](ctx context.Context, p *Pool, items []T, fn func(i int, it
 }
 
 // MapWith is Map with per-worker state: newState runs once per worker
-// (e.g. to build a reusable simulation engine) and its value is passed
-// to every fn call that worker executes. States are never shared
+// (e.g. to build an evaluator with its own caches) and its value is
+// passed to every fn call that worker executes. States are never shared
 // between workers, so they need no locking.
 func MapWith[S, T, R any](p *Pool, items []T, newState func() S, fn func(s S, i int, item T) (R, error)) ([]R, error) {
 	width := p.Width()
@@ -215,18 +215,11 @@ var errStreamStopped = errors.New("runner: stream stopped by consumer")
 // on the calling goroutine, so it may write to non-thread-safe sinks
 // (an http.ResponseWriter, a terminal). An emit error cancels the
 // remaining computation and is returned. With width 1 the behavior is
-// compute-then-emit per item, the serial reference path.
+// compute-then-emit per item, the serial reference path. Workers stay
+// at most 2·width items ahead of the emit cursor, so a slow consumer
+// bounds buffering and an emit error cancels outstanding work promptly
+// instead of after the whole batch.
 func Stream[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error), emit func(i int, r R) error) error {
-	return StreamWith(p, items, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int, item T) (R, error) { return fn(i, item) }, emit)
-}
-
-// StreamWith is Stream with per-worker state (see MapWith). Workers
-// stay at most 2·width items ahead of the emit cursor, so a slow
-// consumer bounds buffering and an emit error cancels outstanding work
-// promptly instead of after the whole batch.
-func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
-	fn func(s S, i int, item T) (R, error), emit func(i int, r R) error) error {
 	n := len(items)
 	if n == 0 {
 		return nil
@@ -246,8 +239,6 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 		failIdx  = -1 // lowest index whose fn call failed
 		failErr  error
 		stopped  atomic.Bool // consumer aborted
-		states   = make([]S, width)
-		made     = make([]bool, width)
 		doneCh   = make(chan struct{})
 	)
 	go func() {
@@ -255,7 +246,7 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 		// failed (real errors are recorded in failIdx/failErr instead,
 		// because a window-waiting worker can abort with the sentinel at
 		// a lower index than the real failure), so it is ignored here.
-		_ = p.run(n, func(worker, i int) error {
+		_ = p.run(n, func(_, i int) error {
 			mu.Lock()
 			for i >= emitNext+window && !stopped.Load() && failIdx == -1 {
 				cond.Wait()
@@ -265,11 +256,7 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 			if aborted {
 				return errStreamStopped
 			}
-			if !made[worker] {
-				states[worker] = newState()
-				made[worker] = true
-			}
-			r, err := fn(states[worker], i, items[i])
+			r, err := fn(i, items[i])
 			mu.Lock()
 			if err != nil {
 				if failIdx == -1 || i < failIdx {

@@ -97,23 +97,3 @@ func TestStreamEmitErrorCancels(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamWithPerWorkerState(t *testing.T) {
-	var built atomic.Int64
-	items := make([]int, 64)
-	err := StreamWith(New(4), items,
-		func() *int { built.Add(1); v := 0; return &v },
-		func(s *int, i int, _ int) (int, error) { *s++; return i, nil },
-		func(i, r int) error {
-			if i != r {
-				return fmt.Errorf("item %d got %d", i, r)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := built.Load(); b < 1 || b > 4 {
-		t.Errorf("built %d states, want 1..4", b)
-	}
-}

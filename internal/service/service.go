@@ -1068,11 +1068,11 @@ func jsonResponse(v any) (response, error) {
 }
 
 // runShared evaluates one (model, strategy, config) on a pooled
-// evaluator. Each evaluator is single-threaded by design (it reuses one
-// simulation engine), so a request borrows one for the duration of the
-// call; distinct concurrent requests run on distinct evaluators and
-// the cache/singleflight layer above keeps redundant evaluations from
-// ever reaching this point.
+// evaluator. Each evaluator is single-threaded by design (its Arch and
+// warm-plan caches are plain maps), so a request borrows one for the
+// duration of the call; distinct concurrent requests run on distinct
+// evaluators and the cache/singleflight layer above keeps redundant
+// evaluations from ever reaching this point.
 func (s *Server) runShared(ctx context.Context, m *nn.Model, st hypar.Strategy, cfg hypar.Config) (*hypar.Result, error) {
 	ev := s.evaluators.Get().(*hypar.Evaluator)
 	defer s.evaluators.Put(ev)

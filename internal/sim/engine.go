@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -66,8 +65,8 @@ const slabBlock = 512
 
 // Engine accumulates tasks and resources and computes the schedule.
 // A single Engine can be reused across simulations via Reset, which
-// retains the task slab and resource storage to cut allocations; an
-// Engine is not safe for concurrent use.
+// retains the task slab, resource storage, ready heap and step-builder
+// scratch to cut allocations; an Engine is not safe for concurrent use.
 type Engine struct {
 	tasks     []*Task
 	resources []*Resource
@@ -75,6 +74,9 @@ type Engine struct {
 	blocks [][]Task // task slab: fixed-capacity blocks, stable addresses
 	cur    int      // first block with free capacity
 	nres   int      // live resources (prefix of resources)
+
+	ready   []readyItem // Run's binary min-heap, truncated at each Run
+	scratch stepScratch // step-builder buffers (see step.go)
 }
 
 // NewEngine creates an empty engine.
@@ -138,30 +140,63 @@ func (e *Engine) AddTask(id string, duration float64, res *Resource, deps ...*Ta
 	return t, nil
 }
 
-// readyHeap orders tasks by ready time, breaking ties by insertion
-// order for determinism.
+// readyItem is one entry of Run's ready heap: a task whose
+// dependencies have all finished, keyed by its ready time and the order
+// it became ready in.
 type readyItem struct {
-	task *Task
-	seq  int
+	ready float64
+	seq   int
+	task  *Task
 }
 
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].task.ready != h[j].task.ready {
-		return h[i].task.ready < h[j].task.ready
+// before orders ready items by ready time, breaking ties by insertion
+// order for determinism. seq is unique, so this is a strict total
+// order: any correct heap pops the same sequence.
+func (a readyItem) before(b readyItem) bool {
+	if a.ready != b.ready {
+		return a.ready < b.ready
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x interface{}) { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push adds it to the ready heap.
+func (e *Engine) push(it readyItem) {
+	h := append(e.ready, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	e.ready = h
+}
+
+// pop removes and returns the heap's minimum. The heap must be
+// non-empty.
+func (e *Engine) pop() readyItem {
+	h := e.ready
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(h[j]) {
+			j = r
+		}
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e.ready = h
+	return top
 }
 
 // Run schedules every task and returns the makespan. Tasks bound to a
@@ -177,7 +212,7 @@ func (e *Engine) Run() (float64, error) {
 		r := e.resources[i]
 		r.free, r.busy = 0, 0
 	}
-	var rh readyHeap
+	e.ready = e.ready[:0]
 	seq := 0
 	for _, t := range e.tasks {
 		t.done = false
@@ -187,15 +222,14 @@ func (e *Engine) Run() (float64, error) {
 	}
 	for _, t := range e.tasks {
 		if t.pending == 0 {
-			heap.Push(&rh, readyItem{task: t, seq: seq})
+			e.push(readyItem{ready: t.ready, seq: seq, task: t})
 			seq++
 		}
 	}
 	var makespan float64
 	scheduled := 0
-	for rh.Len() > 0 {
-		it := heap.Pop(&rh).(readyItem)
-		t := it.task
+	for len(e.ready) > 0 {
+		t := e.pop().task
 		t.Start = t.ready
 		if t.Resource != nil && t.Resource.free > t.Start {
 			t.Start = t.Resource.free
@@ -216,7 +250,7 @@ func (e *Engine) Run() (float64, error) {
 				s.ready = t.Finish
 			}
 			if s.pending == 0 {
-				heap.Push(&rh, readyItem{task: s, seq: seq})
+				e.push(readyItem{ready: s.ready, seq: seq, task: s})
 				seq++
 			}
 		}

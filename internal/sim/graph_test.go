@@ -91,7 +91,8 @@ func TestBranchedSkipTransfersScheduled(t *testing.T) {
 }
 
 // TestBranchedDeterministic pins schedule determinism for DAGs: two
-// fresh simulations of the same branched plan agree exactly.
+// simulations of the same branched plan, the second on a reused pooled
+// engine, agree exactly.
 func TestBranchedDeterministic(t *testing.T) {
 	m := nn.SRES8()
 	plan, err := partition.Solve(partition.Request{Model: m, Batch: 32, Levels: unitLevels(3)})
@@ -106,7 +107,7 @@ func TestBranchedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSimulator().Simulate(m, plan, arch)
+	b, err := Simulate(m, plan, arch)
 	if err != nil {
 		t.Fatal(err)
 	}

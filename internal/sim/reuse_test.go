@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -108,39 +110,73 @@ func TestRunDetectsCycleAfterReset(t *testing.T) {
 	}
 }
 
-// TestSimulatorMatchesSimulate checks engine reuse yields bit-identical
-// stats to the one-shot path across models and strategies.
+// TestSimulatorMatchesSimulate checks that concurrent Simulate calls,
+// which borrow and return pooled engines, yield stats bit-identical to
+// serial simulations on fresh engines, across models and strategies.
+// Run it under -race to check the pool hands no engine to two
+// goroutines at once.
 func TestSimulatorMatchesSimulate(t *testing.T) {
 	arch, err := DefaultArch(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulator()
+	type tc struct {
+		name string
+		m    *nn.Model
+		plan *partition.Plan
+		want *Stats
+	}
+	var cases []tc
 	for _, m := range []*nn.Model{nn.LenetC(), nn.AlexNet(), nn.VGGA()} {
-		for name, mk := range map[string]func(*nn.Model, int, []partition.Weights) (*partition.Plan, error){
-			"hypar": func(m *nn.Model, batch int, ws []partition.Weights) (*partition.Plan, error) {
+		for _, mk := range []struct {
+			name string
+			fn   func(*nn.Model, int, []partition.Weights) (*partition.Plan, error)
+		}{
+			{"hypar", func(m *nn.Model, batch int, ws []partition.Weights) (*partition.Plan, error) {
 				return partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws})
-			},
-			"dp": partition.DataParallel,
-			"mp": partition.ModelParallel,
+			}},
+			{"dp", partition.DataParallel},
+			{"mp", partition.ModelParallel},
 		} {
-			plan, err := mk(m, 256, unitLevels(4))
+			plan, err := mk.fn(m, 256, unitLevels(4))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Simulate(m, plan, arch)
+			want, err := simulateOn(NewEngine(), m, plan, arch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Simulate(m, plan, arch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := fmt.Sprintf("%+v", *want)
-			g := fmt.Sprintf("%+v", *got)
-			if w != g {
-				t.Errorf("%s/%s: reused engine stats differ:\n got %s\nwant %s", m.Name, name, g, w)
-			}
+			cases = append(cases, tc{m.Name + "/" + mk.name, m, plan, want})
 		}
+	}
+
+	const workers, rounds = 8, 4
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*rounds*len(cases))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range cases {
+					// Stagger the order so workers interleave different
+					// graphs on the pooled engines.
+					c := cases[(i+w)%len(cases)]
+					got, err := Simulate(c.m, c.plan, arch)
+					if err != nil {
+						errs <- fmt.Sprintf("%s: %v", c.name, err)
+						continue
+					}
+					if !reflect.DeepEqual(got, c.want) {
+						errs <- fmt.Sprintf("%s: pooled stats differ:\n got %+v\nwant %+v", c.name, *got, *c.want)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

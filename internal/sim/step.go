@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -157,25 +159,19 @@ func (s *Stats) EnergyTotal() float64 {
 // exchange gradient partial sums on the level links (contending with
 // backward traffic), followed by the local weight update.
 func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
-	return simulateOn(NewEngine(), m, plan, arch)
+	eng := enginePool.Get().(*Engine)
+	eng.Reset()
+	stats, err := simulateOn(eng, m, plan, arch)
+	enginePool.Put(eng)
+	return stats, err
 }
 
-// Simulator owns a reusable engine so repeated simulations (sweeps,
-// explorations, zoo comparisons) stop reallocating the task slab. A
-// Simulator is not safe for concurrent use: give each worker its own
-// (runner.MapWith exists for exactly that).
-type Simulator struct {
-	eng *Engine
-}
-
-// NewSimulator returns a Simulator with an empty engine.
-func NewSimulator() *Simulator { return &Simulator{eng: NewEngine()} }
-
-// Simulate is Simulate on the reusable engine.
-func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
-	s.eng.Reset()
-	return simulateOn(s.eng, m, plan, arch)
-}
+// enginePool recycles engines — task slab, ready heap and builder
+// scratch — across Simulate calls, so sweeps and concurrent requests
+// stop reallocating them. Nothing a simulation returns points into its
+// engine (Stats is fresh and TraceRecords copies), so an engine is
+// free for reuse as soon as simulateOn returns.
+var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
 // simulateOn compiles and runs one training step on the given engine.
 func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
@@ -193,10 +189,11 @@ func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 		return nil, fmt.Errorf("%w: plan is for %d layers, model %q has %d",
 			ErrSim, len(plan.Levels[0]), m.Name, len(shapes))
 	}
-	preds, err := m.LayerPreds()
+	edges, err := appendModelEdges(eng.scratch.modelEdges[:0], m, len(shapes))
 	if err != nil {
 		return nil, err
 	}
+	eng.scratch.modelEdges = edges
 	if plan.Model != "" && plan.Model != m.Name {
 		return nil, fmt.Errorf("%w: plan was computed for model %q, not %q",
 			ErrSim, plan.Model, m.Name)
@@ -212,13 +209,13 @@ func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 	}
 
 	b := stepBuilder{
-		shapes: shapes,
-		preds:  preds,
-		plan:   plan,
-		arch:   arch,
-		eng:    eng,
-		named:  arch.CollectTrace,
-		stats:  &Stats{CommSeconds: make([]float64, levels)},
+		shapes:      shapes,
+		plan:        plan,
+		arch:        arch,
+		eng:         eng,
+		stepScratch: &eng.scratch,
+		named:       arch.CollectTrace,
+		stats:       &Stats{CommSeconds: make([]float64, levels)},
 	}
 	if err := b.build(); err != nil {
 		return nil, err
@@ -242,28 +239,83 @@ func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 	return b.stats, nil
 }
 
+// stepScratch holds the step builder's per-simulation buffers. It
+// lives on the Engine, so a reused engine rebuilds a task graph without
+// reallocating them; each buffer is resized and cleared before use.
+type stepScratch struct {
+	// modelEdges is the model's edge list in canonical (Src, Dst)
+	// order, filled by simulateOn.
+	modelEdges []partition.Edge
+	// outEdges/inEdges index the scheduled edge list per layer.
+	outEdges [][]int
+	inEdges  [][]int
+	// leafShard[l] is layer l's shard state below the whole hierarchy.
+	leafShard []tensor.Shard
+	// convTail/errTail hold each edge's last F/E conversion task.
+	convTail []*Task
+	errTail  []*Task
+	// deps collects one compute task's dependencies.
+	deps  []*Task
+	links []*Resource // level h's link resource
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. Elements are not cleared.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// linkNames holds the link resource names of the first hierarchy
+// levels, so building a step formats none of them.
+var linkNames = func() []string {
+	names := make([]string, 16)
+	for h := range names {
+		names[h] = fmt.Sprintf("link-H%d", h+1)
+	}
+	return names
+}()
+
+// linkName returns hierarchy level h's link resource name.
+func linkName(h int) string {
+	if h < len(linkNames) {
+		return linkNames[h]
+	}
+	return fmt.Sprintf("link-H%d", h+1)
+}
+
+// appendModelEdges appends the model's canonical edge list
+// (partition.EdgesOf of its LayerPreds) to dst. A chain of nl layers
+// only joins consecutive layers, so its list is written directly
+// instead of resolving the predecessor lists first.
+func appendModelEdges(dst []partition.Edge, m *nn.Model, nl int) ([]partition.Edge, error) {
+	if m.IsGraph() {
+		preds, err := m.LayerPreds()
+		if err != nil {
+			return nil, err
+		}
+		return partition.AppendEdges(dst, preds), nil
+	}
+	for l := 1; l < nl; l++ {
+		dst = append(dst, partition.Edge{Src: l - 1, Dst: l})
+	}
+	return dst, nil
+}
+
 // stepBuilder compiles the step's task graph and accrues energy.
 type stepBuilder struct {
 	shapes []nn.LayerShapes
-	preds  [][]int // resolved layer inputs (-1 = model input)
 	plan   *partition.Plan
 	arch   Arch
 	eng    *Engine
 	named  bool // format task names (only needed for trace export)
 	stats  *Stats
 
+	*stepScratch // eng's reusable buffers
+
 	compute *Resource
-	links   []*Resource
 
-	// edges is the model's layer-to-layer edge list in the canonical
-	// (Src, Dst) order the plan's per-edge volumes are indexed by;
-	// outEdges/inEdges index it per layer.
-	edges    []partition.Edge
-	outEdges [][]int
-	inEdges  [][]int
-
-	// leafShard[l] is layer l's shard state below the whole hierarchy.
-	leafShard []tensor.Shard
+	// edges is the layer-to-layer edge list in the order the plan's
+	// per-edge volumes are indexed by: the plan's own Edges, or the
+	// model's canonical order when the plan records none.
+	edges []partition.Edge
 }
 
 // accs returns the accelerator count 2^H.
@@ -275,41 +327,33 @@ func (b *stepBuilder) accs() float64 {
 func (b *stepBuilder) build() error {
 	levels := b.plan.NumLevels()
 	b.compute = b.eng.AddResource("array-compute")
-	b.links = make([]*Resource, levels)
+	b.links = b.links[:0]
 	for h := 0; h < levels; h++ {
-		b.links[h] = b.eng.AddResource(fmt.Sprintf("link-H%d", h+1))
+		b.links = append(b.links, b.eng.AddResource(linkName(h)))
 	}
 
 	nl := len(b.shapes)
 	// The plan's per-edge conversion volumes are indexed parallel to
 	// its own Edges, so schedule from that order when recorded; plans
-	// without one (hand-built zero-level plans) derive the canonical
-	// order from the model.
+	// without one (hand-built zero-level plans) use the canonical order
+	// derived from the model.
 	b.edges = b.plan.Edges
 	if b.edges == nil {
-		b.edges = partition.EdgesOf(b.preds)
-	} else {
+		b.edges = b.modelEdges
+	} else if !slices.Equal(b.edges, b.modelEdges) {
 		// The recorded edge set must be exactly the model's (any order):
 		// per-edge volumes attached to wiring the model does not have
 		// would silently charge conversions on the wrong edges.
-		want := partition.EdgesOf(b.preds)
-		if len(b.edges) != len(want) {
-			return fmt.Errorf("%w: plan records %d edges, model has %d",
-				ErrSim, len(b.edges), len(want))
-		}
-		set := make(map[partition.Edge]bool, len(want))
-		for _, ed := range want {
-			set[ed] = true
-		}
-		for _, ed := range b.edges {
-			if !set[ed] {
-				return fmt.Errorf("%w: plan edge %v is not an edge of model %q", ErrSim, ed, b.plan.Model)
-			}
-			delete(set, ed)
+		if err := b.checkEdgeSet(); err != nil {
+			return err
 		}
 	}
-	b.outEdges = make([][]int, nl)
-	b.inEdges = make([][]int, nl)
+	b.outEdges = resized(b.outEdges, nl)
+	b.inEdges = resized(b.inEdges, nl)
+	for l := 0; l < nl; l++ {
+		b.outEdges[l] = b.outEdges[l][:0]
+		b.inEdges[l] = b.inEdges[l][:0]
+	}
 	for e, ed := range b.edges {
 		if ed.Src < 0 || ed.Src >= nl || ed.Dst <= ed.Src || ed.Dst >= nl {
 			return fmt.Errorf("%w: plan edge %v out of range for %d layers", ErrSim, ed, nl)
@@ -318,11 +362,13 @@ func (b *stepBuilder) build() error {
 		b.inEdges[ed.Dst] = append(b.inEdges[ed.Dst], e)
 	}
 
-	b.leafShard = make([]tensor.Shard, nl)
+	b.leafShard = resized(b.leafShard, nl)
 	for l := 0; l < nl; l++ {
+		var sh tensor.Shard
 		for h := 0; h < levels; h++ {
-			b.leafShard[l] = b.leafShard[l].Apply(b.plan.At(h, l) == comm.DP)
+			sh = sh.Apply(b.plan.At(h, l) == comm.DP)
 		}
+		b.leafShard[l] = sh
 	}
 
 	fwdDone, err := b.buildForward()
@@ -330,6 +376,27 @@ func (b *stepBuilder) build() error {
 		return err
 	}
 	return b.buildBackwardGradient(fwdDone)
+}
+
+// checkEdgeSet refuses a recorded edge list that is not a permutation
+// of the model's edges.
+func (b *stepBuilder) checkEdgeSet() error {
+	want := b.modelEdges
+	if len(b.edges) != len(want) {
+		return fmt.Errorf("%w: plan records %d edges, model has %d",
+			ErrSim, len(b.edges), len(want))
+	}
+	set := make(map[partition.Edge]bool, len(want))
+	for _, ed := range want {
+		set[ed] = true
+	}
+	for _, ed := range b.edges {
+		if !set[ed] {
+			return fmt.Errorf("%w: plan edge %v is not an edge of model %q", ErrSim, ed, b.plan.Model)
+		}
+		delete(set, ed)
+	}
+	return nil
 }
 
 // workingSet returns the per-accelerator bytes resident during one
@@ -460,23 +527,15 @@ func (b *stepBuilder) transferChain(name string, vols func(h int) float64, prev 
 	return prev, nil
 }
 
-// dedupeDeps drops nil and repeated tasks, preserving order.
+// dedupeDeps drops nil and repeated tasks in place, preserving order,
+// and returns the shortened slice.
 func dedupeDeps(deps []*Task) []*Task {
-	out := make([]*Task, 0, len(deps))
+	out := deps[:0]
 	for _, d := range deps {
-		if d == nil {
+		if d == nil || slices.Contains(out, d) {
 			continue
 		}
-		dup := false
-		for _, e := range out {
-			if e == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, d)
-		}
+		out = append(out, d)
 	}
 	return out
 }
@@ -488,13 +547,16 @@ func dedupeDeps(deps []*Task) []*Task {
 // producer's partial-sum exchange. For a chain this reproduces the
 // historical linear sweep task for task.
 func (b *stepBuilder) buildForward() (*Task, error) {
-	convTail := make([]*Task, len(b.edges))
+	b.convTail = resized(b.convTail, len(b.edges))
+	convTail := b.convTail
+	clear(convTail)
 	var last *Task
 	for l := range b.shapes {
-		deps := make([]*Task, 0, len(b.inEdges[l]))
+		deps := b.deps[:0]
 		for _, e := range b.inEdges[l] {
 			deps = append(deps, convTail[e])
 		}
+		b.deps = deps
 		ct, err := b.phaseTask(b.taskName("fwd", l), l, nn.Forward, dedupeDeps(deps)...)
 		if err != nil {
 			return nil, err
@@ -537,17 +599,19 @@ func (b *stepBuilder) buildForward() (*Task, error) {
 // the historical linear sweep task for task.
 func (b *stepBuilder) buildBackwardGradient(fwdDone *Task) error {
 	nl := len(b.shapes)
-	errTail := make([]*Task, len(b.edges))
+	b.errTail = resized(b.errTail, len(b.edges))
+	errTail := b.errTail
+	clear(errTail)
 	prev := fwdDone // the sink's E comes out of the loss right after forward
 	for l := nl - 1; l >= 0; l-- {
 		// The layer's output error: the loss for the sink, otherwise the
 		// E conversions of every outgoing edge.
-		errDeps := make([]*Task, 0, len(b.outEdges[l])+1)
-		errDeps = append(errDeps, prev)
+		deps := append(b.deps[:0], prev)
 		for _, e := range b.outEdges[l] {
-			errDeps = append(errDeps, errTail[e])
+			deps = append(deps, errTail[e])
 		}
-		errDeps = dedupeDeps(errDeps)
+		b.deps = deps
+		errDeps := dedupeDeps(deps)
 
 		// Gradient for layer l consumes the layer's output error.
 		gt, err := b.phaseTask(b.taskName("grad", l), l, nn.Gradient, errDeps...)
@@ -568,7 +632,12 @@ func (b *stepBuilder) buildBackwardGradient(fwdDone *Task) error {
 			// never consumed, so there is no backward compute.
 			continue
 		}
-		bdeps := dedupeDeps(append([]*Task{prev}, errDeps...))
+		// The backward deps [prev, errDeps...] go into the same buffer,
+		// right after errDeps.
+		deps = append(errDeps, prev)
+		deps = append(deps, errDeps...)
+		b.deps = deps
+		bdeps := dedupeDeps(deps[len(errDeps):])
 		ct, err := b.phaseTask(b.taskName("bwd", l), l, nn.Backward, bdeps...)
 		if err != nil {
 			return err
